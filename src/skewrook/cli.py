@@ -3,7 +3,8 @@ counts, number tables and the self-verification sweeps.
 
 Structured output goes to stdout, diagnostics to stderr.  Exit codes: 0 on
 success, 2 on input errors, 3 on pattern-violation errors, 1 when a
-verification sweep fails.  Polynomials are serialized as
+verification sweep fails, 4 on an internal error (an unexpected exception,
+reported as one line on stderr).  Polynomials are serialized as
 {"min_exp": e, "coeffs": ["c_e", ...]} with decimal-string coefficients.
 """
 
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_PATTERN = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -336,6 +338,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ direct correct formulation over speed: comparison is the rank-count
 criterion applied entrywise, and interval enumeration literally filters all
 of S_n (with an early exit per candidate, which changes nothing about what
 is accepted).
+
+Pattern containment is the exception: it guards every rook-route Poincare
+polynomial, so it is a depth-first search that extends a partial occurrence
+only while it stays order-isomorphic to the pattern's prefix.  Its oracle,
+the scan over all C(n, k) position sets, lives in tests/test_permutations.py.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .qalgebra import BiPoly, LaurentPoly
@@ -140,19 +146,42 @@ class Permutation:
         return self._find_pattern(pattern) is not None
 
     def _find_pattern(self, pattern: "Permutation") -> Optional[tuple[int, ...]]:
-        k = pattern.size
-        if k > self.size:
+        """The lexicographically first occurrence of pattern, as 1-indexed
+        positions, or None.
+
+        "First" is in itertools.combinations order over the position sets,
+        so the answer is the one a plain scan of all C(n, k) sets would
+        return.  The search fixes positions left to right; at step d the
+        value must lie strictly between the values already matched to the
+        pattern entries nearest below and nearest above pat[d], and the
+        position may not pass n - k + d.  Pruned branches hold no
+        occurrence, so the first leaf reached is the first occurrence.
+        """
+        word, pat = self.word, pattern.word
+        n, k = len(word), len(pat)
+        if k > n:
             return None
-        pat = pattern.word
-        for positions in itertools.combinations(range(self.size), k):
-            sub = [self.word[p] for p in positions]
-            ranks = sorted(range(k), key=lambda t: sub[t])
-            std = [0] * k
-            for r, t in enumerate(ranks, start=1):
-                std[t] = r
-            if tuple(std) == pat:
-                return tuple(p + 1 for p in positions)
-        return None
+        bounds = _prefix_bounds(pat)
+        # vals[t] is the value matched to pat[t]; slots k and k+1 are the
+        # sentinels 0 and n+1 that _prefix_bounds names for a missing side
+        vals = [0] * k + [0, n + 1]
+        positions = [0] * k
+
+        def extend(d: int, start: int) -> bool:
+            if d == k:
+                return True
+            lo_t, hi_t = bounds[d]
+            lo, hi = vals[lo_t], vals[hi_t]
+            for i in range(start, n - k + d + 1):
+                v = word[i]
+                if lo < v < hi:
+                    vals[d] = v
+                    positions[d] = i + 1
+                    if extend(d + 1, i + 1):
+                        return True
+            return False
+
+        return tuple(positions) if extend(0, 0) else None
 
     def find_forbidden(self) -> Optional[tuple["Permutation", tuple[int, ...]]]:
         """First forbidden pattern occurrence, as (pattern, 1-indexed positions)."""
@@ -165,6 +194,24 @@ class Permutation:
     def avoids_forbidden(self) -> bool:
         """True if the word avoids 4231, 35142, 42513 and 351624."""
         return self.find_forbidden() is None
+
+
+@lru_cache(maxsize=64)
+def _prefix_bounds(pat: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """For each step d, the steps t < d whose pattern entries are nearest
+    below and nearest above pat[d]; k and k + 1 stand for "none"."""
+    k = len(pat)
+    bounds = []
+    for d, v in enumerate(pat):
+        below = [t for t in range(d) if pat[t] < v]
+        above = [t for t in range(d) if pat[t] > v]
+        bounds.append(
+            (
+                max(below, key=pat.__getitem__, default=k),
+                min(above, key=pat.__getitem__, default=k + 1),
+            )
+        )
+    return tuple(bounds)
 
 
 FORBIDDEN_PATTERNS = (

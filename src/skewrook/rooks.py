@@ -17,9 +17,9 @@ against each other.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
 
-from .boards import Board, RookConfig, block_sharp, covers, enumerate_rook_configs
+from .boards import Board, RookConfig, covers, enumerate_rook_configs
 from .permutations import Permutation
 from .qalgebra import (
     ONE,

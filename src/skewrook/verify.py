@@ -17,8 +17,6 @@ from .boards import (
     Board,
     all_skew_ferrers_boards,
     block_sharp,
-    intersect,
-    left_hull,
     max_configs,
     ones,
     right_hull,
@@ -28,7 +26,6 @@ from .intervals import (
     aztec_interval_size,
     coset_reps_A,
     count_lower_interval_dp,
-    hull_interval_elements,
     max_coset_rep_A,
     max_coset_rep_B,
     poincare_B_brute,
@@ -62,7 +59,6 @@ from .rooks import (
     q_rook_number_brute,
     q_rook_poly,
     rb_polynomial,
-    rook_number,
     sharp_q_rook,
     sharp_rb,
     t_board_q_rook,

@@ -1,9 +1,19 @@
 """End-to-end CLI tests through subprocess: frozen stdout, exit codes,
-error channels and determinism."""
+error channels and determinism.  The internal-error exit code is tested in
+process, by making a command raise."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+from skewrook import cli
+from skewrook.intervals import max_coset_rep_A
+from skewrook.permutations import Permutation
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 AZTEC_4 = "\n".join(
     [
@@ -20,10 +30,12 @@ AZTEC_4 = "\n".join(
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "skewrook", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -127,6 +139,42 @@ def test_pattern_violations_exit_3():
     r = run_cli("poincare", "--u", "1324", "--w", "4321")
     assert r.returncode == 3
     assert "flip_ud(u) = 4231" in r.stderr
+
+
+def test_check_avoiders_of_60_letters():
+    # a scan of every position set would take minutes at this size
+    avoiding = '{"avoids":true,"violating_pattern":null,"positions":null}'
+    for p in (Permutation.identity(60), max_coset_rep_A(60, 30).w):
+        r = run_cli("check", p.to_text())
+        assert r.returncode == 0
+        assert r.stdout.strip() == avoiding
+
+
+def test_pattern_violation_in_40_letter_word():
+    u = Permutation.identity(40)
+    w = list(u.word)
+    w[4], w[32] = w[32], w[4]  # 33 at position 5 and 5 at position 33
+    w = Permutation(tuple(w))
+    r = run_cli("poincare", "--u", u.to_text(), "--w", w.to_text())
+    assert r.returncode == 3
+    assert r.stdout == ""
+    m = re.search(r"w = [\d ]+ contains the pattern 4231 at positions \[([\d, ]+)\]", r.stderr)
+    assert m is not None, r.stderr
+    positions = [int(t) for t in m.group(1).split(",")]
+    vals = [w(i) for i in positions]
+    assert [sorted(vals).index(v) + 1 for v in vals] == [4, 2, 3, 1]
+    assert positions == [5, 6, 7, 33]  # the first occurrence in position order
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_hull", boom)
+    assert cli.main(["hull", "1"]) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_bad_permutation_exits_2():

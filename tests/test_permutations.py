@@ -201,21 +201,79 @@ def test_pattern_containment_frozen():
     assert not avoids_forbidden(P("351624"))
 
 
+def standardize(vals):
+    """The word order-isomorphic to vals."""
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    iso = [0] * len(vals)
+    for rank, t in enumerate(order, 1):
+        iso[t] = rank
+    return tuple(iso)
+
+
+def scan_pattern(word, pat):
+    """Oracle for Permutation._find_pattern: try every position set in
+    itertools.combinations order and return the first (1-indexed) hit."""
+    for idxs in itertools.combinations(range(len(word)), len(pat)):
+        if standardize([word[i] for i in idxs]) == pat:
+            return tuple(i + 1 for i in idxs)
+    return None
+
+
 @given(perms(6), st.data())
 def test_pattern_containment_matches_subsequence_scan(p, data):
     pat = data.draw(st.sampled_from([P("21"), P("231"), P("4231"), P("35142")]))
-    k = pat.size
-    want = False
-    for idxs in itertools.combinations(range(p.size), k):
-        vals = [p.word[i] for i in idxs]
-        order = sorted(range(k), key=lambda t: vals[t])
-        iso = [0] * k
-        for rank, t in enumerate(order, 1):
-            iso[t] = rank
-        if tuple(iso) == pat.word:
-            want = True
-            break
+    want = scan_pattern(p.word, pat.word) is not None
     assert contains_pattern(p, pat) == want
+
+
+def test_find_pattern_matches_scan_exhaustive():
+    # every word of S_0 .. S_7 against all four patterns: the same first
+    # occurrence, not just the same yes/no answer
+    for n in range(8):
+        for word in itertools.permutations(range(1, n + 1)):
+            p = Permutation(word)
+            for pat in FORBIDDEN_PATTERNS:
+                assert p._find_pattern(pat) == scan_pattern(word, pat.word), (word, pat)
+
+
+@st.composite
+def planted(draw):
+    """A word of size 8..12 with a forbidden pattern planted at random
+    positions on random values; the other values are shuffled around it."""
+    n = draw(st.integers(8, 12))
+    pat = draw(st.sampled_from(FORBIDDEN_PATTERNS)).word
+    k = len(pat)
+    slots = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    values = sorted(draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)))
+    rest = draw(st.permutations([v for v in range(1, n + 1) if v not in values]))
+    word = list(rest)
+    for slot, r in zip(slots, pat):
+        word.insert(slot, values[r - 1])
+    return Permutation(tuple(word)), Permutation(pat), tuple(s + 1 for s in slots)
+
+
+@given(planted())
+def test_find_pattern_matches_scan_on_planted_words(case):
+    p, pat, slots = case
+    assert standardize([p(i) for i in slots]) == pat.word
+    hit = p._find_pattern(pat)
+    assert hit is not None and hit <= slots
+    assert hit == scan_pattern(p.word, pat.word)
+
+
+def test_find_pattern_edge_cases():
+    empty = Permutation(())
+    one = Permutation.identity(1)
+    assert P("21")._find_pattern(P("4231")) is None  # pattern longer than the word
+    assert empty._find_pattern(one) is None
+    assert empty._find_pattern(empty) == ()
+    assert P("4231")._find_pattern(empty) == ()
+    assert one._find_pattern(one) == (1,)
+    assert one._find_pattern(P("21")) is None
+    assert empty.find_forbidden() is None and one.find_forbidden() is None
+    for p in (empty, one, P("21"), P("4231")):
+        for pat in (empty, one, P("21"), P("4231")):
+            assert p._find_pattern(pat) == scan_pattern(p.word, pat.word)
 
 
 def test_find_forbidden_reports_positions():
@@ -234,13 +292,7 @@ def test_find_forbidden_witness_is_order_isomorphic(p):
         return
     pattern, positions = hit
     assert list(positions) == sorted(positions)
-    vals = [p(i) for i in positions]
-    k = pattern.size
-    order = sorted(range(k), key=lambda t: vals[t])
-    iso = [0] * k
-    for rank, t in enumerate(order, 1):
-        iso[t] = rank
-    assert tuple(iso) == pattern.word
+    assert standardize([p(i) for i in positions]) == pattern.word
 
 
 def test_flip_and_rotate_frozen():
