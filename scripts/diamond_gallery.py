@@ -11,7 +11,7 @@ Run as: python3 scripts/diamond_gallery.py --max-n 4
 
 import argparse
 
-from skewrook.boards import intersect, left_hull, right_hull
+from skewrook.boards import left_hull, right_hull
 from skewrook.intervals import aztec_interval_size, max_coset_rep_A
 from skewrook.rooks import q_rook_number
 
@@ -22,7 +22,7 @@ def main() -> None:
     args = parser.parse_args()
     for n in range(1, args.max_n + 1):
         w = max_coset_rep_A(2 * n, n).w
-        board = intersect(right_hull(w), left_hull(w.flip_ud()))
+        board = right_hull(w).intersect(left_hull(w.flip_ud()))
         count = aztec_interval_size(n)
         assert count == 2**n
         print(f"n = {n}: w = {w.to_text()}, placements = {count}")

@@ -10,17 +10,12 @@ from .boards import (
     RookConfig,
     all_skew_ferrers_boards,
     block_sharp,
-    col_lengths,
     covers,
     enumerate_rook_configs,
-    intersect,
-    is_ferrers,
-    is_skew_ferrers,
     left_hull,
     max_configs,
     ones,
     right_hull,
-    row_lengths,
     triangular,
     zeros,
 )
@@ -36,6 +31,7 @@ from .intervals import (
     max_coset_rep_A,
     max_coset_rep_B,
     poincare_B_brute,
+    poincare_B_via_rook,
     poincare_via_rook,
     rank_B,
     reduce_coset_rep,
@@ -48,27 +44,20 @@ from .permutations import (
     FORBIDDEN_PATTERNS,
     Permutation,
     all_permutations,
-    avoids_forbidden,
     bruhat_interval,
     bruhat_leq,
-    contains_pattern,
-    descent_number,
     eulerian_gf,
-    inversions,
     poincare_brute,
-    rank_count,
 )
 from .qalgebra import (
     BiPoly,
     LaurentPoly,
-    evaluate_at_one,
     poly_bernoulli,
     q_factorial,
     q_falling,
     q_int,
     q_stirling,
     stirling2,
-    substitute_q_inverse,
 )
 from .rooks import (
     full_placement_q_poly,

@@ -23,15 +23,8 @@ __all__ = [
     "zeros",
     "triangular",
     "block_sharp",
-    "flip_ud",
-    "rotate180",
-    "row_lengths",
-    "col_lengths",
-    "is_ferrers",
-    "is_skew_ferrers",
     "right_hull",
     "left_hull",
-    "intersect",
     "covers",
     "enumerate_rook_configs",
     "max_configs",
@@ -265,31 +258,6 @@ def block_sharp(top_left: Board, bottom_right: Board) -> Board:
 # -- hulls --------------------------------------------------------------------
 
 
-# function forms of the Board methods, matching the rest of the API
-def flip_ud(b: Board) -> Board:
-    return b.flip_ud()
-
-
-def rotate180(b: Board) -> Board:
-    return b.rotate180()
-
-
-def row_lengths(b: Board) -> tuple[int, ...]:
-    return b.row_lengths()
-
-
-def col_lengths(b: Board) -> tuple[int, ...]:
-    return b.col_lengths()
-
-
-def is_ferrers(b: Board, align: str = "right") -> bool:
-    return b.is_ferrers(align)
-
-
-def is_skew_ferrers(b: Board, align: str = "right") -> bool:
-    return b.is_skew_ferrers(align)
-
-
 def right_hull(p: Permutation) -> Board:
     """Smallest right-aligned skew Ferrers board covering the permutation.
 
@@ -314,10 +282,6 @@ def right_hull(p: Permutation) -> Board:
 def left_hull(p: Permutation) -> Board:
     """Smallest left-aligned skew Ferrers board covering the permutation."""
     return right_hull(p.flip_ud()).flip_ud()
-
-
-def intersect(a: Board, b: Board) -> Board:
-    return a.intersect(b)
 
 
 # -- rook configurations -------------------------------------------------------

@@ -21,8 +21,8 @@ from .intervals import (
     PatternViolationError,
     count_lower_interval_dp,
     max_coset_rep_A,
-    max_coset_rep_B,
     poincare_B_brute,
+    poincare_B_via_rook,
     poincare_via_rook,
     theoremA_poincare,
     theoremB_poincare,
@@ -30,7 +30,6 @@ from .intervals import (
 )
 from .permutations import Permutation, bruhat_interval, poincare_brute
 from .qalgebra import LaurentPoly, poly_bernoulli, q_stirling
-from .rooks import rb_polynomial
 from .verify import run_suite
 
 __all__ = [
@@ -91,21 +90,6 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _signed_diagonal(n: int) -> LaurentPoly:
-    """Rank generating function of the type-B lower interval through the
-    signed hull polynomial, substituting sqrt(q) for both variables."""
-    rb = rb_polynomial(right_hull(max_coset_rep_B(n).p))
-    total: dict[int, int] = {}
-    for t_exp, coeff in rb.items():
-        for q_exp, c in coeff.items():
-            combined = q_exp + t_exp
-            if combined % 2:
-                raise RuntimeError("odd combined exponent in the signed route")
-            e = combined // 2
-            total[e] = total.get(e, 0) + c
-    return LaurentPoly(total)
-
-
 def _poincare_pair(args) -> LaurentPoly:
     u = _parse_perm(args.u)
     w = _parse_perm(args.w)
@@ -146,7 +130,7 @@ def _poincare_B(args) -> LaurentPoly:
     if method == "formula":
         return theoremB_poincare(args.n)
     if method == "rook":
-        return _signed_diagonal(args.n)
+        return poincare_B_via_rook(args.n)
     if method == "brute":
         return poincare_B_brute(args.n)
     raise InputError(f"method {method!r} is not valid for --type B")

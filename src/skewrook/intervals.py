@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .boards import intersect, left_hull, max_configs, right_hull
+from .boards import left_hull, max_configs, right_hull
 from .permutations import Permutation, bruhat_leq
 from .qalgebra import (
     ZERO,
@@ -25,9 +25,8 @@ from .qalgebra import (
     q_factorial,
     q_stirling,
     stirling2,
-    substitute_q_inverse,
 )
-from .rooks import q_rook_number, rook_number
+from .rooks import q_rook_number, rb_polynomial, rook_number
 
 __all__ = [
     "PatternViolationError",
@@ -47,6 +46,7 @@ __all__ = [
     "rank_B",
     "symmetric_permutations",
     "theoremB_poincare",
+    "poincare_B_via_rook",
     "poincare_B_brute",
 ]
 
@@ -98,7 +98,7 @@ def poincare_via_rook(u: Permutation, w: Permutation) -> LaurentPoly:
         raise ValueError("u and w must have the same size")
     _require_avoiding(w, "w")
     _require_avoiding(u.flip_ud(), "flip_ud(u)")
-    board = intersect(right_hull(w), left_hull(u))
+    board = right_hull(w).intersect(left_hull(u))
     return q_rook_number(board, w.size)
 
 
@@ -211,8 +211,8 @@ def theoremA_poincare(n: int, k: int) -> LaurentPoly:
         raise ValueError("need 1 <= k <= n-1")
     total = ZERO
     for i in range(k + 1):
-        term = substitute_q_inverse(q_stirling(k + 1, i + 1))
-        term = term * substitute_q_inverse(q_stirling(n - k + 1, i + 1))
+        term = q_stirling(k + 1, i + 1).substitute_q_inverse()
+        term = term * q_stirling(n - k + 1, i + 1).substitute_q_inverse()
         fact = q_factorial(i)
         term = term * fact * fact * LaurentPoly.monomial(i)
         total = total + term
@@ -243,7 +243,7 @@ def aztec_interval_size(n: int) -> int:
     if n < 1:
         raise ValueError("need n >= 1")
     w = max_coset_rep_A(2 * n, n).w
-    board = intersect(right_hull(w), left_hull(w.flip_ud()))
+    board = right_hull(w).intersect(left_hull(w.flip_ud()))
     return rook_number(board, 2 * n)
 
 
@@ -313,8 +313,26 @@ def theoremB_poincare(n: int) -> LaurentPoly:
         raise ValueError("need n >= 1")
     total = ZERO
     for i in range(n + 1):
-        total = total + substitute_q_inverse(q_stirling(n + 1, i + 1)) * q_factorial(i)
+        total = total + q_stirling(n + 1, i + 1).substitute_q_inverse() * q_factorial(i)
     return LaurentPoly.monomial(n * (n + 1) // 2) * total
+
+
+def poincare_B_via_rook(n: int) -> LaurentPoly:
+    """The same rank generating function through the signed hull
+    polynomial: rb_polynomial of the right hull of max_coset_rep_B(n), with
+    sqrt(q) substituted for both q and t.  Raises RuntimeError when a term
+    has an odd combined exponent, which would become a half-integer power
+    of q."""
+    rb = rb_polynomial(right_hull(max_coset_rep_B(n).p))
+    total: dict[int, int] = {}
+    for t_exp, coeff in rb.items():
+        for q_exp, c in coeff.items():
+            combined = q_exp + t_exp
+            if combined % 2:
+                raise RuntimeError("odd combined exponent in the signed route")
+            e = combined // 2
+            total[e] = total.get(e, 0) + c
+    return LaurentPoly(total)
 
 
 def poincare_B_brute(n: int) -> LaurentPoly:

@@ -27,13 +27,6 @@ __all__ = [
     "Permutation",
     "FORBIDDEN_PATTERNS",
     "all_permutations",
-    "inversions",
-    "rank_count",
-    "descent_number",
-    "contains_pattern",
-    "avoids_forbidden",
-    "flip_ud",
-    "rotate180",
     "bruhat_leq",
     "bruhat_interval",
     "poincare_brute",
@@ -279,35 +272,6 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
                 break
         if ok:
             yield word
-
-
-# function forms of the Permutation methods, matching the rest of the API
-def inversions(p: Permutation) -> int:
-    return p.inversions()
-
-
-def rank_count(p: Permutation, i: int, j: int) -> int:
-    return p.rank_count(i, j)
-
-
-def descent_number(p: Permutation) -> int:
-    return p.descent_number()
-
-
-def contains_pattern(p: Permutation, pat: Permutation) -> bool:
-    return p.contains_pattern(pat)
-
-
-def avoids_forbidden(p: Permutation) -> bool:
-    return p.avoids_forbidden()
-
-
-def flip_ud(p: Permutation) -> Permutation:
-    return p.flip_ud()
-
-
-def rotate180(p: Permutation) -> Permutation:
-    return p.rotate180()
 
 
 def bruhat_leq(p: Permutation, r: Permutation) -> bool:

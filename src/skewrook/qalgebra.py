@@ -30,8 +30,6 @@ __all__ = [
     "q_stirling",
     "stirling2",
     "poly_bernoulli",
-    "substitute_q_inverse",
-    "evaluate_at_one",
 ]
 
 _DECIMAL_RE = re.compile(r"-?\d+")
@@ -501,10 +499,3 @@ def poly_bernoulli(n: int, k: int) -> int:
     total = sum((-1) ** i * (i + 1) ** r * math.factorial(i) * stirling2(n, i) for i in range(n + 1))
     return (-1) ** n * total
 
-
-def substitute_q_inverse(p: LaurentPoly) -> LaurentPoly:
-    return p.substitute_q_inverse()
-
-
-def evaluate_at_one(p: LaurentPoly) -> int:
-    return p.evaluate_at_one()

@@ -12,19 +12,12 @@ from skewrook.boards import (
     RookConfig,
     all_skew_ferrers_boards,
     block_sharp,
-    col_lengths,
     covers,
     enumerate_rook_configs,
-    flip_ud,
-    intersect,
-    is_ferrers,
-    is_skew_ferrers,
     left_hull,
     max_configs,
     ones,
     right_hull,
-    rotate180,
-    row_lengths,
     triangular,
     zeros,
 )
@@ -96,44 +89,44 @@ def test_standard_boards():
 
 
 def test_profiles_frozen():
-    assert row_lengths(LAMBDA_BOARD) == (3, 2, 0)
-    assert col_lengths(LAMBDA_BOARD) == (2, 2, 1, 0)
-    assert row_lengths(MU_BOARD) == (3, 3, 1)
-    assert col_lengths(MU_BOARD) == (2, 2, 3)
-    assert row_lengths(ones(2, 3)) == (3, 3)
-    assert col_lengths(ones(2, 3)) == (2, 2, 2)
+    assert LAMBDA_BOARD.row_lengths() == (3, 2, 0)
+    assert LAMBDA_BOARD.col_lengths() == (2, 2, 1, 0)
+    assert MU_BOARD.row_lengths() == (3, 3, 1)
+    assert MU_BOARD.col_lengths() == (2, 2, 3)
+    assert ones(2, 3).row_lengths() == (3, 3)
+    assert ones(2, 3).col_lengths() == (2, 2, 2)
 
 
 @given(boards())
 def test_profiles_count_cells(b):
-    assert sum(row_lengths(b)) == b.count_ones()
-    assert sum(col_lengths(b)) == b.count_ones()
+    assert sum(b.row_lengths()) == b.count_ones()
+    assert sum(b.col_lengths()) == b.count_ones()
     assert b.count_ones() + b.count_zeros() == b.dims[0] * b.dims[1]
 
 
 def test_flip_and_rotate_frozen():
-    assert flip_ud(triangular(3)) == Board.parse("#..\n##.\n###")
-    assert rotate180(ones(3, 2)) == ones(3, 2)
-    assert rotate180(triangular(2)) == Board.parse(".#\n##")
+    assert triangular(3).flip_ud() == Board.parse("#..\n##.\n###")
+    assert ones(3, 2).rotate180() == ones(3, 2)
+    assert triangular(2).rotate180() == Board.parse(".#\n##")
 
 
 @given(boards())
 def test_flip_and_rotate_are_involutions(b):
-    assert flip_ud(flip_ud(b)) == b
-    assert rotate180(rotate180(b)) == b
-    assert row_lengths(flip_ud(b)) == tuple(reversed(row_lengths(b)))
-    assert col_lengths(rotate180(b)) == tuple(reversed(col_lengths(b)))
+    assert b.flip_ud().flip_ud() == b
+    assert b.rotate180().rotate180() == b
+    assert b.flip_ud().row_lengths() == tuple(reversed(b.row_lengths()))
+    assert b.rotate180().col_lengths() == tuple(reversed(b.col_lengths()))
 
 
 def test_is_ferrers_frozen():
-    assert is_ferrers(LAMBDA_BOARD, "left")
-    assert not is_ferrers(LAMBDA_BOARD, "right")
-    assert is_ferrers(MU_BOARD, "right")
-    assert is_ferrers(triangular(4), "left")
-    assert is_ferrers(ones(2, 3), "left") and is_ferrers(ones(2, 3), "right")
-    assert not is_ferrers(Board.parse(".#\n##"), "left")
+    assert LAMBDA_BOARD.is_ferrers("left")
+    assert not LAMBDA_BOARD.is_ferrers("right")
+    assert MU_BOARD.is_ferrers("right")
+    assert triangular(4).is_ferrers("left")
+    assert ones(2, 3).is_ferrers("left") and ones(2, 3).is_ferrers("right")
+    assert not Board.parse(".#\n##").is_ferrers("left")
     with pytest.raises(ValueError):
-        is_ferrers(ones(1, 1), "diagonal")
+        ones(1, 1).is_ferrers("diagonal")
 
 
 def test_ferrers_local_condition_is_definitional():
@@ -143,7 +136,7 @@ def test_ferrers_local_condition_is_definitional():
             (j == 1 or b.cell(i, j - 1)) and (i == 1 or b.cell(i - 1, j))
             for i, j in b.one_cells()
         )
-        assert is_ferrers(b, "left") == want, b.to_text()
+        assert b.is_ferrers("left") == want, b.to_text()
 
 
 def _all_boards(max_m, max_n):
@@ -161,19 +154,19 @@ def test_skew_recognition_matches_difference_definition(align):
             wanted = set(all_skew_ferrers_boards(m, n, align))
             for rows in itertools.product(range(1 << n), repeat=m):
                 b = Board(rows, n)
-                assert is_skew_ferrers(b, align) == (b in wanted), b.to_text()
+                assert b.is_skew_ferrers(align) == (b in wanted), b.to_text()
 
 
 @given(boards())
 def test_skew_alignments_mirror(b):
-    assert is_skew_ferrers(b, "left") == is_skew_ferrers(b.mirror_lr(), "right")
+    assert b.is_skew_ferrers("left") == b.mirror_lr().is_skew_ferrers("right")
 
 
 @given(boards(max_side=4))
 def test_ferrers_boards_are_skew(b):
     for align in ("left", "right"):
-        if is_ferrers(b, align):
-            assert is_skew_ferrers(b, align)
+        if b.is_ferrers(align):
+            assert b.is_skew_ferrers(align)
 
 
 def test_block_sharp_frozen():
@@ -214,7 +207,7 @@ def test_right_hull_frozen():
 
 
 def test_aztec_intersection_frozen():
-    got = intersect(right_hull(P("56781234")), left_hull(P("43218765")))
+    got = right_hull(P("56781234")).intersect(left_hull(P("43218765")))
     assert got.to_text() == AZTEC_4
 
 
@@ -222,9 +215,9 @@ def test_aztec_intersection_frozen():
 def test_hull_covers_and_flip_identity(word):
     p = Permutation(tuple(word))
     h = right_hull(p)
-    assert is_skew_ferrers(h, "right")
+    assert h.is_skew_ferrers("right")
     assert all(h.cell(i, j) for i, j in enumerate(p.word, 1))
-    assert left_hull(p) == flip_ud(right_hull(p.flip_ud()))
+    assert left_hull(p) == right_hull(p.flip_ud()).flip_ud()
 
 
 def test_right_hull_minimality_exhaustive():
@@ -240,11 +233,11 @@ def test_right_hull_minimality_exhaustive():
 
 def test_intersect():
     b = Board.parse("#.\n##")
-    assert intersect(b, ones(2, 2)) == b
-    assert intersect(b, b) == b
-    assert intersect(b, Board.parse(".#\n##")) == Board.parse("..\n##")
+    assert b.intersect(ones(2, 2)) == b
+    assert b.intersect(b) == b
+    assert b.intersect(Board.parse(".#\n##")) == Board.parse("..\n##")
     with pytest.raises(ValueError):
-        intersect(b, ones(2, 3))
+        b.intersect(ones(2, 3))
 
 
 def test_rook_config_validation():
@@ -288,8 +281,8 @@ def test_enumeration_is_duplicate_free_and_covered(b, k):
 @given(boards(max_side=4), st.integers(0, 3))
 def test_enumeration_count_is_symmetry_invariant(b, k):
     count = sum(1 for _ in enumerate_rook_configs(b, k))
-    assert count == sum(1 for _ in enumerate_rook_configs(flip_ud(b), k))
-    assert count == sum(1 for _ in enumerate_rook_configs(rotate180(b), k))
+    assert count == sum(1 for _ in enumerate_rook_configs(b.flip_ud(), k))
+    assert count == sum(1 for _ in enumerate_rook_configs(b.rotate180(), k))
 
 
 def test_max_configs_frozen():
@@ -322,4 +315,4 @@ def test_all_skew_ferrers_boards_is_deduped_and_sorted():
     assert len(got) == len(set(got))
     assert list(got) == sorted(got, key=lambda b: b.rows)
     for b in got:
-        assert is_skew_ferrers(b, "right")
+        assert b.is_skew_ferrers("right")

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from skewrook.boards import block_sharp, flip_ud, right_hull, triangular
+from skewrook.boards import block_sharp, right_hull, triangular
 from skewrook.intervals import (
     CosetRepA,
     PatternViolationError,
@@ -294,9 +294,7 @@ def test_max_rep_hull_is_a_flipped_block_composition():
     for n in range(2, 7):
         for k in range(1, n):
             w = max_coset_rep_A(n, k).w
-            want = flip_ud(
-                block_sharp(triangular(n - k).rotate180(), triangular(k))
-            )
+            want = block_sharp(triangular(n - k).rotate180(), triangular(k)).flip_ud()
             assert right_hull(w) == want
 
 

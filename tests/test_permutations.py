@@ -11,17 +11,10 @@ from skewrook.permutations import (
     FORBIDDEN_PATTERNS,
     Permutation,
     all_permutations,
-    avoids_forbidden,
     bruhat_interval,
     bruhat_leq,
-    contains_pattern,
-    descent_number,
     eulerian_gf,
-    flip_ud,
-    inversions,
     poincare_brute,
-    rank_count,
-    rotate180,
 )
 from skewrook.qalgebra import BiPoly, LaurentPoly
 
@@ -60,10 +53,10 @@ def test_text_forms():
 
 
 def test_inversions_frozen():
-    assert inversions(Permutation.identity(5)) == 0
-    assert inversions(P("3412")) == 4
-    assert inversions(P("35124")) == 5
-    assert inversions(P("21")) == 1
+    assert Permutation.identity(5).inversions() == 0
+    assert P("3412").inversions() == 4
+    assert P("35124").inversions() == 5
+    assert P("21").inversions() == 1
 
 
 @given(perms(7))
@@ -71,25 +64,25 @@ def test_inversions_matches_pair_scan(p):
     w = p.word
     n = len(w)
     want = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-    assert inversions(p) == want
+    assert p.inversions() == want
 
 
 def test_rank_count_frozen():
     ident = Permutation.identity(6)
     for i in range(1, 7):
-        assert rank_count(ident, i, 1) == i
-    assert rank_count(P("3412"), 2, 3) == 2
+        assert ident.rank_count(i, 1) == i
+    assert P("3412").rank_count(2, 3) == 2
     with pytest.raises(ValueError):
-        rank_count(P("3412"), 0, 1)
+        P("3412").rank_count(0, 1)
     with pytest.raises(ValueError):
-        rank_count(P("3412"), 1, 5)
+        P("3412").rank_count(1, 5)
 
 
 @given(perms(6), st.integers(1, 6))
 def test_rank_count_bottom_row(p, j):
     n = p.size
     if j <= n:
-        assert rank_count(p, n, j) == n - j + 1
+        assert p.rank_count(n, j) == n - j + 1
 
 
 @given(perms(5), st.data())
@@ -97,7 +90,7 @@ def test_rank_count_matches_definition(p, data):
     i = data.draw(st.integers(1, p.size))
     j = data.draw(st.integers(1, p.size))
     want = sum(1 for a in range(1, i + 1) if p(a) >= j)
-    assert rank_count(p, i, j) == want
+    assert p.rank_count(i, j) == want
 
 
 def test_bruhat_leq_frozen():
@@ -116,7 +109,7 @@ def test_identity_is_minimum(p):
 @given(perms(5), st.data())
 def test_flip_antiautomorphism(p, data):
     r = data.draw(st.permutations(range(1, p.size + 1)).map(lambda w: Permutation(tuple(w))))
-    assert bruhat_leq(p, r) == bruhat_leq(flip_ud(r), flip_ud(p))
+    assert bruhat_leq(p, r) == bruhat_leq(r.flip_ud(), p.flip_ud())
 
 
 def test_bruhat_leq_is_transposition_closure():
@@ -190,15 +183,15 @@ def test_poincare_counts_the_interval(u, data):
 
 
 def test_pattern_containment_frozen():
-    assert contains_pattern(P("4231"), P("4231"))
-    assert not contains_pattern(Permutation.identity(6), P("4231"))
-    assert contains_pattern(P("35142"), P("231"))
+    assert P("4231").contains_pattern(P("4231"))
+    assert not Permutation.identity(6).contains_pattern(P("4231"))
+    assert P("35142").contains_pattern(P("231"))
     fig4 = P("687594123")
     for pat in FORBIDDEN_PATTERNS:
-        assert not contains_pattern(fig4, pat)
-    assert avoids_forbidden(fig4)
-    assert not avoids_forbidden(P("4231"))
-    assert not avoids_forbidden(P("351624"))
+        assert not fig4.contains_pattern(pat)
+    assert fig4.avoids_forbidden()
+    assert not P("4231").avoids_forbidden()
+    assert not P("351624").avoids_forbidden()
 
 
 def standardize(vals):
@@ -223,7 +216,7 @@ def scan_pattern(word, pat):
 def test_pattern_containment_matches_subsequence_scan(p, data):
     pat = data.draw(st.sampled_from([P("21"), P("231"), P("4231"), P("35142")]))
     want = scan_pattern(p.word, pat.word) is not None
-    assert contains_pattern(p, pat) == want
+    assert p.contains_pattern(pat) == want
 
 
 def test_find_pattern_matches_scan_exhaustive():
@@ -288,7 +281,7 @@ def test_find_forbidden_reports_positions():
 def test_find_forbidden_witness_is_order_isomorphic(p):
     hit = p.find_forbidden()
     if hit is None:
-        assert avoids_forbidden(p)
+        assert p.avoids_forbidden()
         return
     pattern, positions = hit
     assert list(positions) == sorted(positions)
@@ -296,29 +289,29 @@ def test_find_forbidden_witness_is_order_isomorphic(p):
 
 
 def test_flip_and_rotate_frozen():
-    assert flip_ud(Permutation.identity(4)) == P("4321")
-    assert flip_ud(P("56781234")) == P("43218765")
-    assert rotate180(P("2143")) == P("2143")
-    assert rotate180(P("35124")) == P("24513")
+    assert Permutation.identity(4).flip_ud() == P("4321")
+    assert P("56781234").flip_ud() == P("43218765")
+    assert P("2143").rotate180() == P("2143")
+    assert P("35124").rotate180() == P("24513")
 
 
 @given(perms(7))
 def test_flip_and_rotate_are_involutions(p):
-    assert flip_ud(flip_ud(p)) == p
-    assert rotate180(rotate180(p)) == p
+    assert p.flip_ud().flip_ud() == p
+    assert p.rotate180().rotate180() == p
 
 
 @given(perms(7))
 def test_flip_formula(p):
     n = p.size
-    assert flip_ud(p).word == tuple(p(n - i) for i in range(n))
-    assert rotate180(p).word == tuple(n + 1 - p(n - i) for i in range(n))
+    assert p.flip_ud().word == tuple(p(n - i) for i in range(n))
+    assert p.rotate180().word == tuple(n + 1 - p(n - i) for i in range(n))
 
 
 def test_descent_number_frozen():
-    assert descent_number(Permutation.identity(5)) == 0
-    assert descent_number(P("54321")) == 4
-    assert descent_number(P("3412")) == 1
+    assert Permutation.identity(5).descent_number() == 0
+    assert P("54321").descent_number() == 4
+    assert P("3412").descent_number() == 1
 
 
 def test_eulerian_gf_frozen():

@@ -12,7 +12,6 @@ from skewrook.boards import (
     RookConfig,
     block_sharp,
     enumerate_rook_configs,
-    flip_ud,
     ones,
     right_hull,
     triangular,
@@ -111,6 +110,22 @@ def test_dp_matches_enumeration(b, k):
 def test_rook_number_is_q_rook_at_one(b, k):
     assert rook_number(b, k) == q_rook_number(b, k).evaluate_at_one()
     assert rook_number(b, k) == sum(1 for _ in enumerate_rook_configs(b, k))
+
+
+def test_board_above_dp_width_gate():
+    # width 22 is past the mask-DP gate, so both numbers come from enumeration
+    b = Board.from_matrix(
+        [
+            [int(j in (1, 5, 21, 22)) for j in range(1, 23)],
+            [int(j in (2, 5, 20)) for j in range(1, 23)],
+            [int(j in (1, 3, 22)) for j in range(1, 23)],
+        ]
+    )
+    assert b.dims == (3, 22)
+    for k in range(4):
+        assert rook_number(b, k) == sum(1 for _ in enumerate_rook_configs(b, k))
+        assert q_rook_number(b, k) == q_rook_number_brute(b, k)
+    assert [rook_number(b, k) for k in range(4)] == [1, 10, 30, 27]
 
 
 @given(square_boards())
@@ -224,7 +239,7 @@ def test_flip_inverts_q_for_full_placements():
 
 def _check_flip(b):
     n = b.height
-    lhs = q_rook_number(flip_ud(b), n)
+    lhs = q_rook_number(b.flip_ud(), n)
     rhs = LaurentPoly.monomial(n * (n - 1) // 2) * q_rook_number(
         b, n
     ).substitute_q_inverse()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from skewrook.qalgebra import LaurentPoly
+from skewrook import cli, intervals
+from skewrook.qalgebra import BiPoly, LaurentPoly
 from skewrook.verify import SUITES, bjorner_ekedahl_violation, run_suite
 
 
@@ -42,3 +43,15 @@ def test_single_suite_at_reduced_scale():
     assert warnings == []
     assert all(r.passed for r in results)
     assert {r.name for r in results} <= {r.name for r in SUITES["rook"](2)}
+
+
+def test_typeB_hull_route_reports_odd_exponent(monkeypatch):
+    # one term q^0 t^1 has an odd combined exponent
+    monkeypatch.setattr(intervals, "rb_polynomial", lambda board: BiPoly({1: LaurentPoly({0: 1})}))
+    with pytest.raises(RuntimeError):
+        intervals.poincare_B_via_rook(2)
+    results = {r.name: r for r in SUITES["typeB"](2)}
+    assert not results["typeB.hull-route"].passed
+    assert "parity" in results["typeB.hull-route"].detail
+    assert results["typeB.closed-form"].passed
+    assert cli.main(["poincare", "--type", "B", "--n", "2", "--method", "rook"]) == 4
