@@ -27,5 +27,7 @@ def test_package_imports_only_listed_names():
     for node in imports:
         assert node.level == 1, "the package imports only from its own modules"
         module = importlib.import_module(f"skewrook.{node.module}")
-        unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in module.__all__]
+        unlisted += [
+            f"{node.module}.{a.name}" for a in node.names if a.name not in module.__all__
+        ]
     assert not unlisted, unlisted

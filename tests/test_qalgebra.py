@@ -72,7 +72,9 @@ def test_q_inverse_is_an_involution(p):
 
 @given(laurent_polys, laurent_polys)
 def test_q_inverse_is_multiplicative(a, b):
-    assert (a * b).substitute_q_inverse() == a.substitute_q_inverse() * b.substitute_q_inverse()
+    assert (a * b).substitute_q_inverse() == (
+        a.substitute_q_inverse() * b.substitute_q_inverse()
+    )
 
 
 @given(laurent_polys, st.integers(1, 4))

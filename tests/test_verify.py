@@ -47,7 +47,8 @@ def test_single_suite_at_reduced_scale():
 
 def test_typeB_hull_route_reports_odd_exponent(monkeypatch):
     # one term q^0 t^1 has an odd combined exponent
-    monkeypatch.setattr(intervals, "rb_polynomial", lambda board: BiPoly({1: LaurentPoly({0: 1})}))
+    odd = BiPoly({1: LaurentPoly({0: 1})})
+    monkeypatch.setattr(intervals, "rb_polynomial", lambda board: odd)
     with pytest.raises(RuntimeError):
         intervals.poincare_B_via_rook(2)
     results = {r.name: r for r in SUITES["typeB"](2)}
