@@ -27,7 +27,6 @@ from .intervals import (
     coset_reps_A,
     count_lower_interval_dp,
     hull_interval_elements,
-    is_hull_interval,
     max_coset_rep_A,
     max_coset_rep_B,
     poincare_B_brute,

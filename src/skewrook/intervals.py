@@ -32,7 +32,6 @@ __all__ = [
     "PatternViolationError",
     "CosetRepA",
     "SignedPermutation",
-    "is_hull_interval",
     "hull_interval_elements",
     "poincare_via_rook",
     "max_coset_rep_A",
@@ -71,13 +70,6 @@ def _require_avoiding(p: Permutation, role: str) -> None:
     if hit is not None:
         pattern, positions = hit
         raise PatternViolationError(p, pattern, positions, role)
-
-
-def is_hull_interval(p: Permutation) -> bool:
-    """True when the full placements of the right hull of p form the lower
-    Bruhat interval [id, p]; equivalent to avoiding 4231, 35142, 42513,
-    351624."""
-    return p.avoids_forbidden()
 
 
 def hull_interval_elements(p: Permutation) -> set[Permutation]:
@@ -266,9 +258,6 @@ class SignedPermutation:
     @property
     def n(self) -> int:
         return self.p.size // 2
-
-    def neg(self) -> int:
-        return self.p.neg_statistic()
 
 
 def rank_B(s: SignedPermutation) -> int:

@@ -185,7 +185,9 @@ class Permutation:
         return None
 
     def avoids_forbidden(self) -> bool:
-        """True if the word avoids 4231, 35142, 42513 and 351624."""
+        """True if the word avoids 4231, 35142, 42513 and 351624: exactly
+        when the full placements of its right hull form the lower Bruhat
+        interval [id, w]."""
         return self.find_forbidden() is None
 
 

@@ -285,7 +285,8 @@ class BiPoly:
 
     Exponents of t are nonnegative.  Canonical: no zero coefficient is
     stored.  Used for the statistics that track a second parameter next to
-    the q-weight.
+    the q-weight; it is built, compared, iterated and printed, and carries
+    no arithmetic of its own.
     """
 
     __slots__ = ("_coeffs",)
@@ -311,16 +312,6 @@ class BiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
 
-    @staticmethod
-    def _coerce(other) -> "BiPoly | None":
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, LaurentPoly):
-            return BiPoly({0: other})
-        if isinstance(other, int) and not isinstance(other, bool):
-            return BiPoly({0: other})
-        return None
-
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -331,65 +322,8 @@ class BiPoly:
     def coefficient(self, t_exp: int) -> LaurentPoly:
         return self._coeffs.get(t_exp, ZERO)
 
-    def t_degree(self) -> int:
-        if not self._coeffs:
-            raise ValueError("the zero polynomial has no degree")
-        return max(self._coeffs)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for e, p in other._coeffs.items():
-            v = acc.get(e, ZERO) + p
-            if v:
-                acc[e] = v
-            elif e in acc:
-                del acc[e]
-        out = BiPoly.__new__(BiPoly)
-        object.__setattr__(out, "_coeffs", acc)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({e: -p for e, p in self._coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc: dict[int, LaurentPoly] = {}
-        for e1, p1 in self._coeffs.items():
-            for e2, p2 in other._coeffs.items():
-                e = e1 + e2
-                v = acc.get(e, ZERO) + p1 * p2
-                if v:
-                    acc[e] = v
-                elif e in acc:
-                    del acc[e]
-        out = BiPoly.__new__(BiPoly)
-        object.__setattr__(out, "_coeffs", acc)
-        return out
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, BiPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
 

@@ -17,7 +17,11 @@ suite plays them against each other:
   q-rook number of a board at once and is cached per board.  Rook numbers
   are this table at q = 1;
 * the top-down full-placement DP, full_placement_q_poly, for the n-rook
-  number of an n x n board.
+  number of an n x n board, also cached per board.
+
+Every query goes through one of the two DPs, whatever the board's width up
+to boards.MAX_WIDTH; the enumeration oracle serves only the tests and the
+verify checks.
 
 Full placement keeps its own DP because it scans top-down and carries only
 placements with a rook in every row so far.  On the hull intersections of
@@ -57,9 +61,6 @@ __all__ = [
     "sharp_rb",
     "full_placement_q_poly",
 ]
-
-_DP_MAX_WIDTH = 20
-
 
 def inv_stat(board: Board, config: RookConfig) -> int:
     """inv of a rook configuration on a board.
@@ -131,6 +132,7 @@ def _q_rook_table(rows: tuple[int, ...], width: int) -> tuple[LaurentPoly, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=4096)
 def full_placement_q_poly(board: Board) -> LaurentPoly:
     """Sum of q^inversions over permutations fitting inside a square board.
 
@@ -171,9 +173,7 @@ def q_rook_number(board: Board, k: int) -> LaurentPoly:
         return ZERO
     if k == m == n:
         return full_placement_q_poly(board)
-    if n <= _DP_MAX_WIDTH:
-        return _q_rook_table(board.rows, n)[k]
-    return q_rook_number_brute(board, k)
+    return _q_rook_table(board.rows, n)[k]
 
 
 def rook_number(board: Board, k: int) -> int:

@@ -4,7 +4,7 @@ hand values and definition-level re-computations."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from skewrook.permutations import (

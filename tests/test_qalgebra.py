@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from skewrook.qalgebra import (
@@ -130,8 +130,6 @@ def test_bipoly_basics():
     f = BiPoly({0: 1, 1: Q})
     assert f.coefficient(1) == Q
     assert f.coefficient(5).is_zero
-    assert f.t_degree() == 1
-    assert f * f == BiPoly({0: 1, 1: 2 * Q, 2: Q ** 2})
     with pytest.raises(ValueError):
         BiPoly({-1: 1})
 

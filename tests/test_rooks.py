@@ -1,6 +1,7 @@
 """Rook statistics: inv, q-rook numbers, factored forms, block composition."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewrook.boards import (
+    MAX_WIDTH,
     Board,
     RookConfig,
     block_sharp,
@@ -18,8 +20,9 @@ from skewrook.boards import (
     zeros,
 )
 from skewrook.permutations import Permutation
-from skewrook.qalgebra import ONE, ZERO, BiPoly, LaurentPoly, q_factorial, q_int
+from skewrook.qalgebra import ONE, BiPoly, LaurentPoly, q_factorial
 from skewrook.rooks import (
+    _q_rook_table,
     full_placement_q_poly,
     garsia_remmel_product,
     gjw_product,
@@ -112,8 +115,8 @@ def test_rook_number_is_q_rook_at_one(b, k):
     assert rook_number(b, k) == sum(1 for _ in enumerate_rook_configs(b, k))
 
 
-def test_board_above_dp_width_gate():
-    # width 22 is past the mask-DP gate, so both numbers come from enumeration
+def test_wide_board_dp_matches_enumeration():
+    # both numbers come from the mask DP, checked against enumeration
     b = Board.from_matrix(
         [
             [int(j in (1, 5, 21, 22)) for j in range(1, 23)],
@@ -128,10 +131,28 @@ def test_board_above_dp_width_gate():
     assert [rook_number(b, k) for k in range(4)] == [1, 10, 30, 27]
 
 
+def test_board_at_max_width():
+    b = ones(3, MAX_WIDTH)
+    for k in range(3):
+        assert q_rook_number(b, k) == q_rook_number_brute(b, k)
+    for k in range(4):
+        assert rook_number(b, k) == math.comb(3, k) * math.perm(MAX_WIDTH, k)
+
+
 @given(square_boards())
 def test_full_placement_fast_path(b):
     n = b.height
-    assert full_placement_q_poly(b) == q_rook_number(b, n)
+    fast = full_placement_q_poly(b)
+    assert fast == q_rook_number_brute(b, n)
+    assert fast == _q_rook_table(b.rows, n)[n]
+
+
+def test_full_placement_is_cached_per_board():
+    b = Board((0b0111, 0b1101, 0b1110, 0b1011), 4)
+    q_rook_number(b, 4)
+    hits = full_placement_q_poly.cache_info().hits
+    assert rook_number(b, 4) == 9
+    assert full_placement_q_poly.cache_info().hits == hits + 1
 
 
 def test_q_rook_poly_frozen():
@@ -152,8 +173,6 @@ def test_q_rook_poly_at_x_zero_is_top_rook_number(b):
 def test_gjw_product_frozen():
     assert gjw_product(ones(2, 2), 2, 1) == 6
     for n in range(1, 6):
-        import math
-
         assert gjw_product(ones(n, n), n, 0) == math.factorial(n)
     with pytest.raises(ValueError):
         gjw_product(Board.parse("#.\n##"), 2, 1)  # not right-aligned Ferrers
@@ -257,8 +276,6 @@ def test_rb_polynomial_frozen():
 
 def test_rb_polynomial_counts_symmetric_placements():
     # t-degree sums at q=1 count the 180-degree symmetric full placements
-    import math
-
     for n in (1, 2):
         bp = rb_polynomial(ones(2 * n, 2 * n))
         total = sum(c.evaluate_at_one() for _, c in bp.items())
