@@ -2,9 +2,10 @@
 counts, number tables and the self-verification sweeps.
 
 Structured output goes to stdout, diagnostics to stderr.  Exit codes: 0 on
-success, 2 on input errors, 3 on pattern-violation errors, 1 when a
-verification sweep fails, 4 on an internal error (an unexpected exception,
-reported as one line on stderr).  Polynomials are serialized as
+success, 2 on input errors (any ValueError, from the arguments or from the
+library's own checks), 3 on pattern-violation errors, 1 when a verification
+sweep fails, 4 on an internal error (an unexpected exception, reported as
+one line on stderr).  Polynomials are serialized as
 {"min_exp": e, "coeffs": ["c_e", ...]} with decimal-string coefficients.
 """
 
@@ -51,30 +52,19 @@ EXIT_PATTERN = 3
 EXIT_INTERNAL = 4
 
 
-class InputError(Exception):
-    """Invalid argument combination or value; maps to exit code 2."""
-
-
-def _parse_perm(text: str) -> Permutation:
-    try:
-        return Permutation.from_text(text)
-    except ValueError as e:
-        raise InputError(str(e)) from None
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
 def cmd_hull(args) -> int:
-    p = _parse_perm(args.perm)
+    p = Permutation.from_text(args.perm)
     board = right_hull(p) if args.side == "right" else left_hull(p)
     print(board.to_text())
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    p = _parse_perm(args.perm)
+    p = Permutation.from_text(args.perm)
     hit = p.find_forbidden()
     if hit is None:
         _emit({"avoids": True, "violating_pattern": None, "positions": None})
@@ -91,24 +81,20 @@ def cmd_check(args) -> int:
 
 
 def _poincare_pair(args) -> LaurentPoly:
-    u = _parse_perm(args.u)
-    w = _parse_perm(args.w)
-    if u.size != w.size:
-        raise InputError("u and w must have the same size")
+    u = Permutation.from_text(args.u)
+    w = Permutation.from_text(args.w)
     method = args.method or "rook"
     if method == "rook":
         return poincare_via_rook(u, w)
     if method == "brute":
         return poincare_brute(u, w)
-    raise InputError(f"method {method!r} is not valid for a permutation pair")
+    raise ValueError(f"method {method!r} is not valid for a permutation pair")
 
 
 def _poincare_A(args) -> LaurentPoly:
     if args.n is None or args.k is None:
-        raise InputError("--type A requires --n and --k")
+        raise ValueError("--type A requires --n and --k")
     n, k = args.n, args.k
-    if not 1 <= k <= n - 1:
-        raise InputError("need 1 <= k <= n-1")
     method = args.method or "formula"
     if method == "formula":
         return theoremA_poincare(n, k)
@@ -116,16 +102,14 @@ def _poincare_A(args) -> LaurentPoly:
         return poincare_via_rook(Permutation.identity(n), max_coset_rep_A(n, k).w)
     if method == "brute":
         return poincare_brute(Permutation.identity(n), max_coset_rep_A(n, k).w)
-    raise InputError("--method dp is only valid together with --at-one")
+    raise ValueError("--method dp is only valid together with --at-one")
 
 
 def _poincare_B(args) -> LaurentPoly:
     if args.n is None:
-        raise InputError("--type B requires --n")
+        raise ValueError("--type B requires --n")
     if args.k is not None:
-        raise InputError("--type B does not take --k")
-    if args.n < 1:
-        raise InputError("need n >= 1")
+        raise ValueError("--type B does not take --k")
     method = args.method or "formula"
     if method == "formula":
         return theoremB_poincare(args.n)
@@ -133,24 +117,22 @@ def _poincare_B(args) -> LaurentPoly:
         return poincare_B_via_rook(args.n)
     if method == "brute":
         return poincare_B_brute(args.n)
-    raise InputError(f"method {method!r} is not valid for --type B")
+    raise ValueError(f"method {method!r} is not valid for --type B")
 
 
 def cmd_poincare(args) -> int:
     pair = args.u is not None or args.w is not None
     if pair and (args.u is None or args.w is None):
-        raise InputError("--u and --w must be given together")
+        raise ValueError("--u and --w must be given together")
     if pair and args.type is not None:
-        raise InputError("--type cannot be combined with --u/--w")
+        raise ValueError("--type cannot be combined with --u/--w")
     if args.method == "dp":
         if not args.at_one:
-            raise InputError("--method dp is only valid together with --at-one")
+            raise ValueError("--method dp is only valid together with --at-one")
         if pair or args.type != "A":
-            raise InputError("--method dp applies to --type A only")
+            raise ValueError("--method dp applies to --type A only")
         if args.n is None or args.k is None:
-            raise InputError("--type A requires --n and --k")
-        if not 1 <= args.k <= args.n - 1:
-            raise InputError("need 1 <= k <= n-1")
+            raise ValueError("--type A requires --n and --k")
         print(count_lower_interval_dp(max_coset_rep_A(args.n, args.k)))
         return EXIT_OK
     if pair:
@@ -160,7 +142,7 @@ def cmd_poincare(args) -> int:
     elif args.type == "B":
         poly = _poincare_B(args)
     else:
-        raise InputError("give either --type A/B or a --u/--w pair")
+        raise ValueError("give either --type A/B or a --u/--w pair")
     if args.at_one:
         print(poly.evaluate_at_one())
     else:
@@ -171,17 +153,12 @@ def cmd_poincare(args) -> int:
 def cmd_count(args) -> int:
     if args.word is not None:
         if args.k is None:
-            raise InputError("--word requires --k")
-        w = _parse_perm(args.word)
-        try:
-            rep = CosetRepA(w.size, args.k, w)
-        except ValueError as e:
-            raise InputError(str(e)) from None
+            raise ValueError("--word requires --k")
+        w = Permutation.from_text(args.word)
+        rep = CosetRepA(w.size, args.k, w)
     else:
         if args.n is None or args.k is None:
-            raise InputError("give --n and --k, or --word and --k")
-        if not 1 <= args.k <= args.n - 1:
-            raise InputError("need 1 <= k <= n-1")
+            raise ValueError("give --n and --k, or --word and --k")
         rep = max_coset_rep_A(args.n, args.k)
     if args.method == "brute":
         count = len(bruhat_interval(Permutation.identity(rep.n), rep.w))
@@ -193,7 +170,7 @@ def cmd_count(args) -> int:
 
 def cmd_qstirling(args) -> int:
     if args.n < 0:
-        raise InputError("need n >= 0")
+        raise ValueError("need n >= 0")
     row = [q_stirling(args.n, k).to_json_dict() for k in range(1, args.n + 1)]
     _emit(row)
     return EXIT_OK
@@ -201,7 +178,7 @@ def cmd_qstirling(args) -> int:
 
 def cmd_polybernoulli(args) -> int:
     if args.n < 0 or args.k < 0:
-        raise InputError("need n, k >= 0")
+        raise ValueError("need n, k >= 0")
     print(poly_bernoulli(args.n, -args.k))
     return EXIT_OK
 
@@ -223,9 +200,13 @@ def _table_rows(kind: str, max_n: int, max_k: Optional[int]):
 
 def cmd_table(args) -> int:
     if args.max_n < 0:
-        raise InputError("need --max-n >= 0")
+        raise ValueError("need --max-n >= 0")
     if args.kind == "theorem8" and args.max_n < 2:
-        raise InputError("theorem8 table needs --max-n >= 2")
+        raise ValueError("theorem8 table needs --max-n >= 2")
+    if args.max_k is not None and args.kind != "polybernoulli":
+        raise ValueError("--max-k applies to --kind polybernoulli only")
+    if args.max_k is not None and args.max_k < 0:
+        raise ValueError("need --max-k >= 0")
     rows = list(_table_rows(args.kind, args.max_n, args.max_k))
     if args.format == "json":
         _emit(rows)
@@ -236,10 +217,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results, warnings = run_suite(args.suite, args.max_n)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    results, warnings = run_suite(args.suite, args.max_n)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     failures = 0
@@ -313,9 +291,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except PatternViolationError as e:
         print(f"pattern violation: {e}", file=sys.stderr)
         return EXIT_PATTERN

@@ -8,7 +8,8 @@ plain Python ints and no floating point is ever involved.
 All value types are immutable, so they are safe to share between threads.
 The memoised families (q_factorial, q_stirling, stirling2) sit behind
 functools caches; racing calls can at worst duplicate a little work, they
-always return identical values.
+always return identical values.  q_stirling and stirling2 fill their tables
+under a lock.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cache
+from threading import Lock
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -384,36 +386,71 @@ def q_falling(x: int, k: int) -> LaurentPoly:
     return out
 
 
+def _triangle_entry(table: list[list], lock: Lock, step, zero, n: int, k: int):
+    """Entry (n, k), 1 <= k <= n, of a Stirling-type triangle whose entry
+    (m, j) is step(j, entry(m-1, j-1), entry(m-1, j)).
+
+    table[j] holds the entries (j, j), (j+1, j), ... of column j filled so
+    far, and table[0] is [entry(0, 0)]; any other entry outside
+    1 <= j <= m is zero.  The columns are extended row by row from the
+    bottom, in a loop rather than a recursion, so no input size exhausts the
+    stack, and each entry is computed once.
+    """
+    with lock:
+        while len(table) <= k:
+            table.append([])
+        for j in range(1, k + 1):
+            left, col = table[j - 1], table[j]
+            for m in range(j + len(col), n - k + j + 1):
+                diag = left[m - j] if m - j < len(left) else zero
+                col.append(step(j, diag, col[-1] if col else zero))
+        return table[k][n - k]
+
+
+# The filled columns of the two triangles below.  Each function keeps its
+# functools cache as well, whose counters the benchmark reads.
+_Q_STIRLING_TABLE: list[list[LaurentPoly]] = [[ONE]]
+_Q_STIRLING_LOCK = Lock()
+_STIRLING2_TABLE: list[list[int]] = [[1]]
+_STIRLING2_LOCK = Lock()
+
+
 @cache
 def q_stirling(n: int, k: int) -> LaurentPoly:
     """q-Stirling number of the second kind S_{n,k}(q).
 
     Recurrence S_{n+1,k} = q^(k-1) S_{n,k-1} + [k]_q S_{n,k} with S_{0,0} = 1
-    and S_{n,k} = 0 outside 0 <= k <= n.
+    and S_{n,k} = 0 for every other (n, k) outside 1 <= k <= n.
     """
     if n < 0:
         raise ValueError("q_stirling needs a nonnegative row index")
-    if k < 0 or k > n:
-        return ZERO
-    if n == 0:
-        return ONE
-    return LaurentPoly({k - 1: 1}) * q_stirling(n - 1, k - 1) + q_int(k) * q_stirling(n - 1, k)
+    if not 1 <= k <= n:
+        return ONE if n == k == 0 else ZERO
+    return _triangle_entry(
+        _Q_STIRLING_TABLE,
+        _Q_STIRLING_LOCK,
+        lambda j, diag, up: LaurentPoly({j - 1: 1}) * diag + q_int(j) * up,
+        ZERO,
+        n,
+        k,
+    )
 
 
 @cache
 def stirling2(n: int, k: int) -> int:
     """Classical Stirling number of the second kind (set partition count).
 
-    Computed by its own recurrence, independently of q_stirling; the two are
-    tied together by a test at q = 1.
+    Computed by its own recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1),
+    independently of q_stirling; the two are tied together by a test at
+    q = 1.
     """
     if n < 0:
         raise ValueError("stirling2 needs a nonnegative row index")
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    if not 1 <= k <= n:
+        return int(n == k == 0)
+    return _triangle_entry(
+        _STIRLING2_TABLE, _STIRLING2_LOCK, lambda j, diag, up: diag + j * up, 0, n, k
+    )
 
 
 def poly_bernoulli(n: int, k: int) -> int:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import skewrook
+from skewrook import qalgebra, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["qalgebra", "permutations", "boards", "rooks", "intervals", "verify", "cli"]
@@ -65,3 +66,40 @@ def test_no_unused_imports():
     assert len(files) > 10
     unused = [entry for f in sorted(files) for entry in _unused_imports(f)]
     assert not unused, unused
+
+
+# The benchmark harness reads the recurrences' caches through cache_info()
+# and times each verify check as one step of its suite generator.
+
+
+@pytest.mark.parametrize("name", ["q_stirling", "q_factorial", "stirling2"])
+def test_recurrences_expose_cache_info(name):
+    fn = getattr(qalgebra, name)
+    assert callable(fn.__wrapped__)
+    info = fn.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+
+
+@pytest.mark.parametrize(
+    "suite, scale, route",
+    [
+        ("stirling", 2, "poly_bernoulli"),
+        ("rook", 2, "sharp_q_rook"),
+        ("intervals", 3, "aztec_interval_size"),
+        ("typeB", 2, "sharp_rb"),
+    ],
+)
+def test_suite_steps_one_check_at_a_time(monkeypatch, suite, scale, route):
+    calls = []
+    right = getattr(verify, route)
+
+    def counting(*args):
+        calls.append(args)
+        return right(*args)
+
+    monkeypatch.setattr(verify, route, counting)
+    steps = verify.SUITES[suite](scale)
+    next(steps)
+    assert calls == [], f"{route} ran during the first check"
+    assert all(r.passed for r in steps)
+    assert calls, f"{route} is not a route of a later check"

@@ -275,3 +275,28 @@ def test_runs_are_deterministic():
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def test_verify_rejects_scale_below_one():
+    # an empty sweep must not report "checks passed"
+    for scale in ("0", "-1"):
+        r = run_cli("verify", "--suite", "stirling", "--max-n", scale)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: max_n must be at least 1, got {scale}\n"
+
+
+def test_polybernoulli_far_beyond_recursion_depth():
+    r = run_cli("polybernoulli", "--n", "600", "--k", "1")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == str(2 ** 600)
+
+
+def test_table_rejects_bad_max_k():
+    r = run_cli("table", "--kind", "polybernoulli", "--max-n", "2", "--max-k", "-1")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: need --max-k >= 0\n"
+    for kind in ("qstirling", "theorem8"):
+        r = run_cli("table", "--kind", kind, "--max-n", "3", "--max-k", "2")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: --max-k applies to --kind polybernoulli only\n"

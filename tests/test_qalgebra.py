@@ -1,6 +1,8 @@
 """Exact Laurent-polynomial arithmetic and the q-number zoo."""
 
 import json
+import random
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -204,6 +206,29 @@ def test_stirling2_frozen_rows():
     }
     for n, row in rows.items():
         assert [stirling2(n, k) for k in range(n + 1)] == row
+
+
+def test_stirling_tables_any_access_order():
+    # the column tables against a plain top-down recursion, entries asked
+    # for in a shuffled order so that columns are extended out of turn
+    @cache
+    def top_down(n, k):
+        if not 1 <= k <= n:
+            return (LaurentPoly.constant(1), 1) if n == k == 0 else (LaurentPoly({}), 0)
+        (qa, a), (qb, b) = top_down(n - 1, k - 1), top_down(n - 1, k)
+        return LaurentPoly.monomial(k - 1) * qa + q_int(k) * qb, a + k * b
+
+    cells = [(n, k) for n in range(13) for k in range(-1, n + 2)]
+    random.Random(3).shuffle(cells)
+    for n, k in cells:
+        assert (q_stirling(n, k), stirling2(n, k)) == top_down(n, k)
+
+
+def test_stirling_recurrences_at_depth_600():
+    # a row far deeper than the interpreter's recursion limit
+    assert q_stirling(600, 2) == (1 + Q) ** 599 - 1
+    assert stirling2(600, 2) == 2 ** 599 - 1
+    assert q_stirling(600, 600) == Q ** (600 * 599 // 2)
 
 
 def test_poly_bernoulli_frozen_array():

@@ -2,8 +2,9 @@
 
 import pytest
 
-from skewrook import cli, intervals
-from skewrook.qalgebra import BiPoly, LaurentPoly
+from skewrook import cli, intervals, verify
+from skewrook.boards import ones
+from skewrook.qalgebra import ONE, Q, BiPoly, LaurentPoly
 from skewrook.verify import SUITES, bjorner_ekedahl_violation, run_suite
 
 
@@ -56,3 +57,52 @@ def test_typeB_hull_route_reports_odd_exponent(monkeypatch):
     assert "parity" in results["typeB.hull-route"].detail
     assert results["typeB.closed-form"].passed
     assert cli.main(["poincare", "--type", "B", "--n", "2", "--method", "rook"]) == 4
+
+
+def _wrong_at(monkeypatch, name, point, wrong):
+    """Patch verify's binding of `name` to return wrong(value) at `point`."""
+    right = getattr(verify, name)
+
+    def patched(*args):
+        value = right(*args)
+        return wrong(value) if args == point else value
+
+    monkeypatch.setattr(verify, name, patched)
+
+
+# (suite, scale, route, arguments of the one wrong call, how it is wrong,
+#  the check that must fail, its witness)
+FAILURES = [
+    ("stirling", 3, "t_board_q_rook", (2, 1), lambda v: v + ONE,
+     "stirling.staircase", (2, 1)),
+    ("rook", 2, "gjw_product", (ones(2, 2), 2, 2), lambda v: v + 1,
+     "rook.factored-rook-poly", (ones(2, 2).to_text(), 2)),
+    # shifted by q: wrong as a polynomial, the same at q = 1 and in shape,
+    # so the counts and the rank inequality downstream still pass
+    ("intervals", 5, "theoremA_poincare", (4, 2), lambda v: v * Q,
+     "intervals.closed-form-A", (4, 2)),
+    ("typeB", 2, "sharp_rb", (ones(1, 1),), lambda v: BiPoly({}),
+     "typeB.block-composition", ones(1, 1).to_text()),
+]
+
+
+@pytest.mark.parametrize("suite, scale, route, point, wrong, check, witness", FAILURES)
+def test_wrong_route_fails_only_its_check(
+    monkeypatch, suite, scale, route, point, wrong, check, witness
+):
+    clean = {r.name: r for r in SUITES[suite](scale)}
+    _wrong_at(monkeypatch, route, point, wrong)
+    results = list(SUITES[suite](scale))
+    assert [r.name for r in results] == list(clean)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == [check]
+    assert failed[0].detail.endswith(f"; first failure {witness}")
+    assert failed[0].detail.startswith(clean[check].detail)
+    assert all(r == clean[r.name] for r in results if r.passed)
+
+
+@pytest.mark.parametrize("scale", [0, -1])
+def test_run_suite_rejects_scale_below_one(scale):
+    for suite in ("all", "stirling"):
+        with pytest.raises(ValueError, match=f"max_n must be at least 1, got {scale}"):
+            run_suite(suite, max_n=scale)
