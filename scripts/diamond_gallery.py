@@ -12,7 +12,7 @@ Run as: python3 scripts/diamond_gallery.py --max-n 4
 import argparse
 
 from skewrook.boards import left_hull, right_hull
-from skewrook.intervals import aztec_interval_size, max_coset_rep_A
+from skewrook.intervals import max_coset_rep_A
 from skewrook.rooks import q_rook_number
 
 
@@ -23,11 +23,12 @@ def main() -> None:
     for n in range(1, args.max_n + 1):
         w = max_coset_rep_A(2 * n, n).w
         board = right_hull(w).intersect(left_hull(w.flip_ud()))
-        count = aztec_interval_size(n)
+        poly = q_rook_number(board, 2 * n)
+        count = poly.evaluate_at_one()
         assert count == 2**n
         print(f"n = {n}: w = {w.to_text()}, placements = {count}")
         print(board.to_text())
-        print(f"rank generating function: {q_rook_number(board, 2 * n)}")
+        print(f"rank generating function: {poly}")
         print()
 
 

@@ -1,6 +1,9 @@
 """Command-line surface: hulls, pattern checks, Poincare polynomials, interval
 counts, number tables and the self-verification sweeps.
 
+Each method calls one library route: `poincare` builds a polynomial and
+--at-one reads it at q = 1; `count` sizes a coset interval by the recurrence.
+
 Structured output goes to stdout, diagnostics to stderr.  Exit codes: 0 on
 success, 2 on input errors (any ValueError, from the arguments or from the
 library's own checks), 3 on pattern-violation errors, 1 when a verification
@@ -100,9 +103,7 @@ def _poincare_A(args) -> LaurentPoly:
         return theoremA_poincare(n, k)
     if method == "rook":
         return poincare_via_rook(Permutation.identity(n), max_coset_rep_A(n, k).w)
-    if method == "brute":
-        return poincare_brute(Permutation.identity(n), max_coset_rep_A(n, k).w)
-    raise ValueError("--method dp is only valid together with --at-one")
+    return poincare_brute(Permutation.identity(n), max_coset_rep_A(n, k).w)
 
 
 def _poincare_B(args) -> LaurentPoly:
@@ -115,9 +116,7 @@ def _poincare_B(args) -> LaurentPoly:
         return theoremB_poincare(args.n)
     if method == "rook":
         return poincare_B_via_rook(args.n)
-    if method == "brute":
-        return poincare_B_brute(args.n)
-    raise ValueError(f"method {method!r} is not valid for --type B")
+    return poincare_B_brute(args.n)
 
 
 def cmd_poincare(args) -> int:
@@ -126,15 +125,6 @@ def cmd_poincare(args) -> int:
         raise ValueError("--u and --w must be given together")
     if pair and args.type is not None:
         raise ValueError("--type cannot be combined with --u/--w")
-    if args.method == "dp":
-        if not args.at_one:
-            raise ValueError("--method dp is only valid together with --at-one")
-        if pair or args.type != "A":
-            raise ValueError("--method dp applies to --type A only")
-        if args.n is None or args.k is None:
-            raise ValueError("--type A requires --n and --k")
-        print(count_lower_interval_dp(max_coset_rep_A(args.n, args.k)))
-        return EXIT_OK
     if pair:
         poly = _poincare_pair(args)
     elif args.type == "A":
@@ -251,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--u")
     p.add_argument("--w")
-    p.add_argument("--method", choices=("formula", "rook", "brute", "dp"))
+    p.add_argument("--method", choices=("formula", "rook", "brute"))
     p.add_argument("--at-one", action="store_true", dest="at_one")
     p.set_defaults(func=cmd_poincare)
 

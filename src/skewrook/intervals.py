@@ -26,7 +26,7 @@ from .qalgebra import (
     q_stirling,
     stirling2,
 )
-from .rooks import q_rook_number, rb_polynomial, rook_number
+from .rooks import q_rook_number, rb_polynomial
 
 __all__ = [
     "PatternViolationError",
@@ -155,7 +155,7 @@ def reduce_coset_rep(rep: CosetRepA) -> CosetRepA:
 
 
 def _dp_table(rep: CosetRepA) -> list[list[int]]:
-    """The alternating-sum table f(a, b) behind count_lower_interval_dp.
+    """The table f(a, b) behind count_lower_interval_dp, for a reduced rep.
 
     f is indexed by column a in 1..n and rook deficit b in 0..k, with
     f(n, b) a Kronecker delta and, going right to left,
@@ -163,7 +163,6 @@ def _dp_table(rep: CosetRepA) -> list[list[int]]:
     second addend only appears when a is a value of the first run and c_a
     is the column height of the enclosing shape.
     """
-    rep = reduce_coset_rep(rep)
     n, k = rep.n, rep.k
     word = rep.w.word
     first_run = set(word[:k])
@@ -185,8 +184,7 @@ def _dp_table(rep: CosetRepA) -> list[list[int]]:
 def count_lower_interval_dp(rep: CosetRepA) -> int:
     """Number of elements below the representative in Bruhat order,
     computed in polynomial time by the alternating-sum recurrence."""
-    rep = reduce_coset_rep(rep)
-    table = _dp_table(rep)
+    table = _dp_table(reduce_coset_rep(rep))
     return sum((-1) ** b * v for b, v in enumerate(table[0]))
 
 
@@ -212,31 +210,30 @@ def theoremA_poincare(n: int, k: int) -> LaurentPoly:
 
 
 def theorem8_counts(n: int, k: int) -> tuple[int, int, int]:
-    """The size of the lower interval under max_coset_rep_A(n, k), computed
-    three independent ways: the symmetric double-Stirling sum, the
-    alternating single-Stirling sum, and the poly-Bernoulli number."""
+    """The size of the lower interval under max_coset_rep_A(n, k) as
+    (double-Stirling sum, alternating sum, poly-Bernoulli number).  The
+    first two are independent; by Kaneko's formula the alternating sum
+    (-1)^k sum_i (-1)^i (i+1)^(n-k) i! S(k, i) is B_k^(k-n) itself, so
+    poly_bernoulli computes it once for the last two places."""
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     symmetric = sum(
         stirling2(k + 1, i + 1) * stirling2(n - k + 1, i + 1) * factorial(i) ** 2
         for i in range(k + 1)
     )
-    alternating = (-1) ** k * sum(
-        (-1) ** i * (i + 1) ** (n - k) * factorial(i) * stirling2(k, i)
-        for i in range(k + 1)
-    )
-    return (symmetric, alternating, poly_bernoulli(k, k - n))
+    alternating = poly_bernoulli(k, k - n)
+    return (symmetric, alternating, alternating)
 
 
 def aztec_interval_size(n: int) -> int:
     """Number of elements of [flip_ud(w), w] for the middle maximal coset
     representative w of the symmetric group on 2n letters; the enclosing
-    board is the order-n Aztec diamond and the count is 2^n."""
+    board is the order-n Aztec diamond and the count is 2^n.  Coset
+    representatives avoid the four patterns, so the guard always passes."""
     if n < 1:
         raise ValueError("need n >= 1")
     w = max_coset_rep_A(2 * n, n).w
-    board = right_hull(w).intersect(left_hull(w.flip_ud()))
-    return rook_number(board, 2 * n)
+    return poincare_via_rook(w.flip_ud(), w).evaluate_at_one()
 
 
 # -- hyperoctahedral group ------------------------------------------------------

@@ -8,8 +8,8 @@ plain Python ints and no floating point is ever involved.
 All value types are immutable, so they are safe to share between threads.
 The memoised families (q_factorial, q_stirling, stirling2) sit behind
 functools caches; racing calls can at worst duplicate a little work, they
-always return identical values.  q_stirling and stirling2 fill their tables
-under a lock.
+always return identical values.  q_factorial, q_stirling and stirling2 fill
+their tables under a lock.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import re
 from functools import cache
+from itertools import accumulate
+from operator import sub
 from threading import Lock
 from typing import Iterable, Mapping, Union
 
@@ -366,14 +368,30 @@ def q_int(m: int) -> LaurentPoly:
     return LaurentPoly({e: -1 for e in range(m, 0)})
 
 
+# [m, dense coefficients of [m]!_q] for the largest m filled so far.
+_Q_FACTORIAL_TOP: list = [0, [1]]
+_Q_FACTORIAL_LOCK = Lock()
+
+
 @cache
 def q_factorial(i: int) -> LaurentPoly:
-    """[i]!_q = [1]_q [2]_q ... [i]_q."""
+    """[i]!_q = [1]_q [2]_q ... [i]_q.
+
+    Filled upward in a loop from the top row so far, or from [0]!_q below
+    it; only the top row is kept, since [600]!_q alone has 179701 big
+    coefficients.  Each factor [j]_q is a window sum of width j, taken as a
+    difference of prefix sums in linear time.
+    """
     if i < 0:
         raise ValueError("q_factorial needs a nonnegative argument")
-    if i == 0:
-        return ONE
-    return q_factorial(i - 1) * q_int(i)
+    with _Q_FACTORIAL_LOCK:
+        m, coeffs = _Q_FACTORIAL_TOP if i >= _Q_FACTORIAL_TOP[0] else (0, [1])
+        for j in range(m + 1, i + 1):
+            coeffs = list(accumulate(coeffs + [0] * (j - 1)))
+            coeffs[j:] = map(sub, coeffs[j:], coeffs)
+        if i > _Q_FACTORIAL_TOP[0]:
+            _Q_FACTORIAL_TOP[:] = [i, coeffs]
+    return LaurentPoly(enumerate(coeffs))
 
 
 def q_falling(x: int, k: int) -> LaurentPoly:

@@ -150,9 +150,9 @@ def test_criterion_5(capsys):
 
 def test_criterion_6(capsys):
     desc = (
-        "the three interval-count expressions agree for n <= 10, match the "
-        "recurrence, and the recurrence matches brute force over every "
-        "representative for n <= 7"
+        "the double-Stirling and alternating interval counts agree for "
+        "n <= 10, match the recurrence, and the recurrence matches brute "
+        "force over every representative for n <= 7"
     )
 
     def run():

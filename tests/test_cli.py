@@ -101,15 +101,15 @@ def test_poincare_at_one():
     assert r.stdout.strip() == "46"
 
 
-def test_poincare_dp_needs_at_one():
-    good = run_cli(
+def test_interval_size_has_one_command():
+    # poincare has no recurrence method; count is the route to that value
+    gone = run_cli(
         "poincare", "--type", "A", "--n", "4", "--k", "2", "--method", "dp", "--at-one"
     )
-    assert good.returncode == 0
-    assert good.stdout.strip() == "14"
-    bad = run_cli("poincare", "--type", "A", "--n", "4", "--k", "2", "--method", "dp")
-    assert bad.returncode == 2
-    assert "--at-one" in bad.stderr
+    assert gone.returncode == 2
+    count = run_cli("count", "--n", "4", "--k", "2")
+    assert count.returncode == 0
+    assert count.stdout.strip() == "14"
 
 
 def test_poincare_type_B_routes_agree():

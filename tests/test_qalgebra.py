@@ -1,8 +1,13 @@
 """Exact Laurent-polynomial arithmetic and the q-number zoo."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import threading
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,6 +25,7 @@ from skewrook.qalgebra import (
 )
 
 Q = LaurentPoly.monomial(1)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 laurent_polys = st.dictionaries(
     st.integers(-6, 6), st.integers(-50, 50), max_size=6
@@ -159,6 +165,48 @@ def test_q_factorial_values():
 @given(st.integers(0, 6))
 def test_q_factorial_recurrence(i):
     assert q_factorial(i + 1) == q_int(i + 1) * q_factorial(i)
+
+
+def test_q_factorial_any_access_order_and_threads():
+    # the uncached fill, asked above and below its top row in shuffled
+    # order: first from this thread alone, then from eight threads at once
+    want = [LaurentPoly.constant(1)]
+    for i in range(1, 41):
+        want.append(want[-1] * q_int(i))
+    wrong = []
+
+    def work(seed):
+        order = list(range(41))
+        random.Random(seed).shuffle(order)
+        wrong.extend(i for i in order if q_factorial.__wrapped__(i) != want[i])
+
+    work(0)
+    assert wrong == []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(s,)) for s in range(1, 9)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in workers)
+    assert wrong == []
+
+
+def test_q_factorial_far_below_the_recursion_limit():
+    # a cold fill in a fresh interpreter whose stack holds 100 frames
+    code = (
+        "import math, sys; from skewrook.qalgebra import q_factorial; "
+        "sys.setrecursionlimit(100); p = q_factorial(250); "
+        "print(p.degree(), p.evaluate_at_one() == math.factorial(250))"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [str(250 * 249 // 2), "True"]
 
 
 @given(st.integers(-5, 5), st.integers(0, 4))
