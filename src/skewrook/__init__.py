@@ -67,6 +67,7 @@ from .rooks import (
     q_rook_number_brute,
     q_rook_poly,
     rb_polynomial,
+    rb_polynomial_brute,
     rook_number,
     sharp_q_rook,
     sharp_rb,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from operator import sub
 from threading import Lock
@@ -354,6 +354,25 @@ class BiPoly:
         return f"BiPoly({dict(self.items())!r})"
 
 
+# -- Kronecker packing ---------------------------------------------------------
+
+
+def _unpack(packed: int, width: int) -> list[int]:
+    """The base-2^width digits of a packed int, least significant first.
+
+    A polynomial with coefficients c_e is packed by Kronecker substitution
+    q -> 2^width as the int sum c_e << (width * e); digit e of the result is
+    c_e.  The bit-width rule: the digits come back exactly when every
+    coefficient satisfies 0 <= c_e < 2^width, so width must be at least the
+    bit length of an upper bound on the coefficients.  No digit then carries
+    into the next, and adding or shifting packed ints adds or shifts the
+    polynomials.  The digits are read off one binary string, in time linear
+    in the bit length; 0 unpacks to [].
+    """
+    bits = format(packed, "b") if packed else ""
+    return [int(bits[max(i - width, 0):i], 2) for i in range(len(bits), 0, -width)]
+
+
 # -- q-analogues -------------------------------------------------------------
 
 
@@ -471,12 +490,27 @@ def stirling2(n: int, k: int) -> int:
     )
 
 
+@lru_cache(maxsize=1)
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    """Row n of the Stirling triangle, S(n, 0), ..., S(n, n).
+
+    Built by the stirling2 recurrence in one rolling list, so only the
+    current row is ever held; the last row asked for stays cached.
+    """
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+    return tuple(row)
+
+
 def poly_bernoulli(n: int, k: int) -> int:
     """Poly-Bernoulli number B_n^(k) for k <= 0.
 
     Evaluated through the alternating sum
     (-1)^n * sum_i (-1)^i (i+1)^(-k) i! S(n,i), which is exact for every
     n >= 0 and k <= 0 and satisfies the symmetry B_n^(-m) = B_m^(-n).
+    Row n of the Stirling numbers is computed on its own, not through the
+    stirling2 table, so a large n holds one row, not the triangle above it.
     """
     if n < 0:
         raise ValueError("poly_bernoulli needs a nonnegative lower index")
@@ -485,6 +519,7 @@ def poly_bernoulli(n: int, k: int) -> int:
     if k > 0:
         raise ValueError("positive upper index is not supported")
     r = -k
-    total = sum((-1) ** i * (i + 1) ** r * math.factorial(i) * stirling2(n, i) for i in range(n + 1))
+    row = _stirling2_row(n)
+    total = sum((-1) ** i * (i + 1) ** r * math.factorial(i) * s for i, s in enumerate(row))
     return (-1) ** n * total
 

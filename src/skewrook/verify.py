@@ -59,6 +59,7 @@ from .rooks import (
     q_rook_number_brute,
     q_rook_poly,
     rb_polynomial,
+    rb_polynomial_brute,
     sharp_q_rook,
     sharp_rb,
     t_board_q_rook,
@@ -423,14 +424,17 @@ def _suite_typeB(max_n: int) -> Iterator[CheckResult]:
     )
 
     pair_side = min(max_n, 2)
-    squares = [b for n in range(1, pair_side + 1) for b in _boards(n, n)]
+    pairs = [
+        (a, block_sharp(a.rotate180(), a)) for n in range(1, pair_side + 1) for a in _boards(n, n)
+    ]
     bad = next((
-        a.to_text() for a in squares if sharp_rb(a) != rb_polynomial(block_sharp(a.rotate180(), a))
+        a.to_text() for a, composed in pairs
+        if not sharp_rb(a) == rb_polynomial(composed) == rb_polynomial_brute(composed)
     ), None)
     yield _result(
         "typeB.block-composition", bad,
         f"signed block-composition formula matches direct enumeration on "
-        f"{len(squares)} boards within {pair_side}x{pair_side}",
+        f"{len(pairs)} boards within {pair_side}x{pair_side}",
     )
 
     bad = next((x for n in sizes for x in _structure_failures(n)), None)

@@ -103,3 +103,62 @@ def test_suite_steps_one_check_at_a_time(monkeypatch, suite, scale, route):
     assert calls == [], f"{route} ran during the first check"
     assert all(r.passed for r in steps)
     assert calls, f"{route} is not a route of a later check"
+
+
+# The traced benchmark names its spans "<layer>.<function>" or
+# "<layer>.<Class>.<method>" and reads them back by name; a name that no
+# longer resolves would turn its metric into a silent 0.
+
+SPANS = ROOT / "perfbench" / "spans.py"
+SPAN_TUPLES = ("HULLS", "INTERVAL_SCANS", "PATTERN_SCANS", "ROOK_ENTRIES")
+# boards.intersect was deleted from the library; boards.Board.intersect, in
+# the same tuple, still times every hull intersection.
+STALE_SPAN_NAMES = {"boards.intersect"}
+
+
+def _span_names_read() -> set[str]:
+    tree = ast.parse(SPANS.read_text())
+    names: set[str] = set()
+
+    def strings(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return [e.value for e in node.elts if isinstance(e, ast.Constant)]
+        return []
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in SPAN_TUPLES for t in node.targets
+        ):
+            names.update(strings(node.value))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "inclusive"
+            and node.args
+        ):
+            names.update(strings(node.args[0]))
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "own"
+            and isinstance(node.slice, ast.Constant)
+        ):
+            names.add(node.slice.value)
+    return names
+
+
+def _resolves(span: str) -> bool:
+    layer, _, name = span.partition(".")
+    module = importlib.import_module(f"skewrook.{layer}")
+    cls, _, method = name.rpartition(".")
+    if cls:
+        return inspect.isclass(getattr(module, cls, None)) and hasattr(getattr(module, cls), method)
+    return name in module.__all__ and callable(getattr(module, name))
+
+
+def test_traced_span_names_resolve():
+    names = _span_names_read()
+    assert {"rooks.full_placement_q_poly", "boards.Board.intersect"} <= names
+    assert len(names) > 15
+    stale = sorted(n for n in names if not _resolves(n))
+    assert stale == sorted(STALE_SPAN_NAMES), stale

@@ -122,6 +122,15 @@ def test_poincare_type_B_routes_agree():
     assert brute.stdout == formula.stdout
 
 
+def test_poincare_type_B_rook_route_at_n_9():
+    # the signed hull route is a DP; enumerating it took 23 s at n = 8
+    formula = run_cli("poincare", "--type", "B", "--n", "9")
+    rook = run_cli("poincare", "--type", "B", "--n", "9", "--method", "rook")
+    assert formula.returncode == rook.returncode == 0, rook.stderr
+    assert rook.stdout == formula.stdout
+    assert formula.stdout.startswith('{"min_exp":0,"coeffs":["1",')
+
+
 def test_poincare_argument_validation():
     assert run_cli("poincare", "--u", "123", "--w", "1234").returncode == 2
     assert run_cli("poincare", "--type", "A", "--n", "3", "--k", "3").returncode == 2

@@ -19,6 +19,7 @@ from skewrook.intervals import (
     max_coset_rep_A,
     max_coset_rep_B,
     poincare_B_brute,
+    poincare_B_via_rook,
     poincare_via_rook,
     rank_B,
     reduce_coset_rep,
@@ -344,6 +345,11 @@ def test_theoremB_frozen():
 def test_theoremB_matches_brute_force():
     for n in range(1, 4):
         assert theoremB_poincare(n) == poincare_B_brute(n)
+
+
+def test_typeB_hull_route_matches_the_closed_form():
+    for n in range(1, 10):
+        assert poincare_B_via_rook(n) == theoremB_poincare(n), n
 
 
 def test_theoremB_shape():

@@ -1,6 +1,7 @@
 """Exact Laurent-polynomial arithmetic and the q-number zoo."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from skewrook.qalgebra import (
     BiPoly,
+    _unpack,
     LaurentPoly,
     poly_bernoulli,
     q_factorial,
@@ -310,6 +312,69 @@ def test_poly_bernoulli_double_stirling_form(n, k):
     assert poly_bernoulli(n, -k) == want
 
 
+def test_poly_bernoulli_matches_the_stirling2_table():
+    for n in range(21):
+        for k in range(21):
+            want = (-1) ** n * sum(
+                (-1) ** i * (i + 1) ** k * math.factorial(i) * stirling2(n, i)
+                for i in range(n + 1)
+            )
+            assert poly_bernoulli(n, -k) == want, (n, k)
+
+
+def test_poly_bernoulli_holds_one_stirling_row():
+    # the whole stirling2 triangle below row 600 peaked near 78 MB
+    code = (
+        "import tracemalloc; from skewrook.qalgebra import poly_bernoulli; "
+        "tracemalloc.start(); b = poly_bernoulli(600, -1); "
+        "print(tracemalloc.get_traced_memory()[1], b == poly_bernoulli(1, -600))"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    peak, same = r.stdout.split()
+    assert same == "True"
+    assert int(peak) < 10 * 2**20, f"peak {int(peak) / 2**20:.1f} MB"
+
+
 def test_poly_bernoulli_rejects_positive_upper_index():
     with pytest.raises(ValueError):
         poly_bernoulli(2, 1)
+
+
+# -- Kronecker unpacking ---------------------------------------------------------
+
+
+def _pack(digits, width):
+    return sum(d << (width * e) for e, d in enumerate(digits))
+
+
+def test_unpack_zero():
+    assert _unpack(0, 1) == []
+    assert _unpack(0, 64) == []
+
+
+def test_unpack_width_one():
+    assert _unpack(0b1011, 1) == [1, 1, 0, 1]
+    assert _unpack(1, 1) == [1]
+
+
+def test_unpack_interior_zero_digits():
+    digits = [5, 0, 0, 7, 0, 1]
+    assert _unpack(_pack(digits, 3), 3) == digits
+    assert _unpack(_pack(digits, 40), 40) == digits
+
+
+@pytest.mark.parametrize("width", [1, 5, 8, 13, 64, 100])
+def test_unpack_top_digit_all_ones(width):
+    top = (1 << width) - 1
+    digits = [top, 0, 1, top]
+    assert _unpack(_pack(digits, width), width) == digits
+    assert _unpack(top, width) == [top]
+
+
+@given(st.lists(st.integers(0, 2**20 - 1), max_size=30), st.integers(20, 70))
+def test_unpack_inverts_packing(digits, width):
+    while digits and not digits[-1]:
+        digits.pop()
+    assert _unpack(_pack(digits, width), width) == digits

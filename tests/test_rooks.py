@@ -31,6 +31,7 @@ from skewrook.rooks import (
     q_rook_number_brute,
     q_rook_poly,
     rb_polynomial,
+    rb_polynomial_brute,
     rook_number,
     sharp_q_rook,
     sharp_rb,
@@ -145,6 +146,21 @@ def test_full_placement_fast_path(b):
     fast = full_placement_q_poly(b)
     assert fast == q_rook_number_brute(b, n)
     assert fast == _q_rook_table(b.rows, n)[n]
+
+
+def _random_board(rng, n, density):
+    return Board(
+        tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)), n
+    )
+
+
+def test_packed_full_placement_matches_enumeration():
+    rng = random.Random(11)
+    cases = [Board((), 0), ones(1, 1), zeros(1, 1), Board((0b11, 0), 2)]
+    cases += [_random_board(rng, rng.randint(0, 6), rng.random()) for _ in range(150)]
+    assert any(0 in b.rows for b in cases[4:])
+    for b in cases:
+        assert full_placement_q_poly(b) == q_rook_number_brute(b, b.height), b.to_text()
 
 
 def test_full_placement_is_cached_per_board():
@@ -266,17 +282,29 @@ def _check_flip(b):
 
 
 def test_rb_polynomial_frozen():
-    assert rb_polynomial(ones(2, 2)) == BiPoly({0: ONE, 1: Q})
-    assert rb_polynomial(zeros(2, 2)) == BiPoly({})
-    with pytest.raises(ValueError):
-        rb_polynomial(ones(3, 3))
-    with pytest.raises(ValueError):
-        rb_polynomial(ones(2, 4))
+    for route in (rb_polynomial, rb_polynomial_brute):
+        assert route(ones(2, 2)) == BiPoly({0: ONE, 1: Q})
+        assert route(zeros(2, 2)) == BiPoly({})
+        with pytest.raises(ValueError):
+            route(ones(3, 3))
+        with pytest.raises(ValueError):
+            route(ones(2, 4))
+
+
+def test_rb_polynomial_matches_enumeration():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.choice([0, 2, 4, 6, 8])
+        b = _random_board(rng, n, rng.uniform(0.3, 1.0))
+        if rng.random() < 0.5:
+            # keep the top half and mirror it, so symmetric placements exist
+            b = Board(b.rows[: n // 2] + b.rotate180().rows[n // 2:], n)
+        assert rb_polynomial(b) == rb_polynomial_brute(b), b.to_text()
 
 
 def test_rb_polynomial_counts_symmetric_placements():
     # t-degree sums at q=1 count the 180-degree symmetric full placements
-    for n in (1, 2):
+    for n in (1, 2, 5):
         bp = rb_polynomial(ones(2 * n, 2 * n))
         total = sum(c.evaluate_at_one() for _, c in bp.items())
         assert total == 2**n * math.factorial(n)
@@ -284,11 +312,11 @@ def test_rb_polynomial_counts_symmetric_placements():
 
 @given(square_boards(max_side=2))
 def test_sharp_rb_matches_direct_enumeration(a):
-    assert sharp_rb(a) == rb_polynomial(block_sharp(a.rotate180(), a))
+    assert sharp_rb(a) == rb_polynomial_brute(block_sharp(a.rotate180(), a))
 
 
 def test_sharp_rb_matches_direct_enumeration_3x3():
     rng = random.Random(7)
     for _ in range(15):
         a = Board(tuple(rng.randrange(8) for _ in range(3)), 3)
-        assert sharp_rb(a) == rb_polynomial(block_sharp(a.rotate180(), a))
+        assert sharp_rb(a) == rb_polynomial_brute(block_sharp(a.rotate180(), a))
