@@ -1,6 +1,11 @@
 """Zero-one boards: Ferrers and skew Ferrers recognition, hulls of
 permutations, block compositions, and rook-configuration enumeration.
 
+One enumerator walks the rook placements of a board, row by row; the
+k-rook configurations (enumerate_rook_configs) and the full placements of
+a square board (max_configs) are both read from it, and so is every
+brute-force rook oracle in rooks.py.
+
 A board is an m x n matrix over {0, 1}, stored as one column bitmask per
 row (bit j-1 set means cell (i, j) is a one).  Rows and columns are
 1-indexed in the API to match the permutation conventions.  Widths beyond
@@ -319,57 +324,48 @@ def covers(board: Board, config: RookConfig) -> bool:
     )
 
 
-def enumerate_rook_configs(board: Board, k: int) -> Iterator[RookConfig]:
-    """All k-rook placements on the board's one-cells, each exactly once."""
-    if k < 0:
-        raise ValueError("rook count must be nonnegative")
+def _rook_words(board: Board, k: int) -> Iterator[tuple[int, ...]]:
+    """Every k-rook placement on the board's one-cells, each exactly once, as
+    a word giving the column of the rook in each row, or 0 for an empty row.
+
+    Each row tries its free columns left to right and is left empty last,
+    and only while more rows remain than rooks still to place.
+    """
     rows = board.rows
     m = len(rows)
-    chosen: list[tuple[int, int]] = []
+    word = [0] * m
 
-    def rec(i: int, used: int, left: int) -> Iterator[RookConfig]:
+    def rec(i: int, used: int, left: int) -> Iterator[tuple[int, ...]]:
         if left == 0:
-            yield RookConfig(frozenset(chosen))
-            return
-        if m - i < left:
-            return
-        free = rows[i] & ~used
-        while free:
-            b = free & -free
-            free ^= b
-            chosen.append((i + 1, b.bit_length()))
-            yield from rec(i + 1, used | b, left - 1)
-            chosen.pop()
-        yield from rec(i + 1, used, left)
-
-    yield from rec(0, 0, k)
-
-
-def _max_config_words(board: Board) -> Iterator[tuple[int, ...]]:
-    n = board.height
-    rows = board.rows
-    word: list[int] = []
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
             yield tuple(word)
             return
         free = rows[i] & ~used
         while free:
             b = free & -free
             free ^= b
-            word.append(b.bit_length())
-            yield from rec(i + 1, used | b)
-            word.pop()
+            word[i] = b.bit_length()
+            yield from rec(i + 1, used | b, left - 1)
+        word[i] = 0
+        if m - i > left:
+            yield from rec(i + 1, used, left)
 
-    yield from rec(0, 0)
+    if k <= m:
+        yield from rec(0, 0, k)
+
+
+def enumerate_rook_configs(board: Board, k: int) -> Iterator[RookConfig]:
+    """All k-rook placements on the board's one-cells, each exactly once."""
+    if k < 0:
+        raise ValueError("rook count must be nonnegative")
+    for word in _rook_words(board, k):
+        yield RookConfig(frozenset((i, j) for i, j in enumerate(word, 1) if j))
 
 
 def max_configs(board: Board) -> set[Permutation]:
     """The permutations whose full rook placement fits inside a square board."""
     if board.height != board.width:
         raise ValueError("full placements need a square board")
-    return {Permutation(word) for word in _max_config_words(board)}
+    return {Permutation(word) for word in _rook_words(board, board.height)}
 
 
 # -- exhaustive skew Ferrers generation (shared by tests and verification) ----

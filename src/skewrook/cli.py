@@ -123,8 +123,8 @@ def cmd_poincare(args) -> int:
     pair = args.u is not None or args.w is not None
     if pair and (args.u is None or args.w is None):
         raise ValueError("--u and --w must be given together")
-    if pair and args.type is not None:
-        raise ValueError("--type cannot be combined with --u/--w")
+    if pair and (args.type, args.n, args.k) != (None, None, None):
+        raise ValueError("--type, --n and --k cannot be combined with --u/--w")
     if pair:
         poly = _poincare_pair(args)
     elif args.type == "A":
@@ -144,6 +144,8 @@ def cmd_count(args) -> int:
     if args.word is not None:
         if args.k is None:
             raise ValueError("--word requires --k")
+        if args.n is not None:
+            raise ValueError("--n cannot be combined with --word")
         w = Permutation.from_text(args.word)
         rep = CosetRepA(w.size, args.k, w)
     else:

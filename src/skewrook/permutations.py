@@ -61,18 +61,13 @@ class Permutation:
         s = text.strip()
         if not s:
             raise ValueError("empty permutation text")
-        if any(ch.isspace() for ch in s):
-            try:
-                vals = tuple(int(tok) for tok in s.split())
-            except ValueError as exc:
-                raise ValueError(f"bad permutation text {text!r}") from exc
-        elif s.isdigit():
-            if len(s) > 9:
-                raise ValueError("compact digit form only covers n <= 9")
-            vals = tuple(int(ch) for ch in s)
-        else:
+        spaced = any(ch.isspace() for ch in s)
+        tokens = s.split() if spaced else list(s)
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise ValueError(f"bad permutation text {text!r}")
-        return cls(vals)
+        if not spaced and len(s) > 9:
+            raise ValueError("compact digit form only covers n <= 9")
+        return cls(tuple(int(tok) for tok in tokens))
 
     def to_text(self) -> str:
         if self.size <= 9:

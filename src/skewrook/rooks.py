@@ -31,8 +31,9 @@ and the all-k table 49.4M.
 
 The signed statistic of the hyperoctahedral group has the same pair: the
 DP rb_polynomial over the top half of an even board, and the oracle
-rb_polynomial_brute, which enumerates the rotationally symmetric full
-placements.
+rb_polynomial_brute, which walks every full placement (boards.max_configs)
+and keeps those fixed by 180-degree rotation.  The oracle never pairs
+mirror rows, so it shares no step with the DP it checks.
 
 The two full-placement DPs, full_placement_q_poly and rb_polynomial, keep
 each state's polynomial as one nonnegative int packed by Kronecker
@@ -46,8 +47,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .boards import Board, RookConfig, covers, enumerate_rook_configs
-from .permutations import Permutation
+from .boards import Board, RookConfig, covers, enumerate_rook_configs, max_configs
 from .qalgebra import (
     ONE,
     ZERO,
@@ -274,36 +274,6 @@ def sharp_q_rook(a: Board, b: Board) -> LaurentPoly:
     return total
 
 
-def _symmetric_max_words(board: Board):
-    """Full placements on a 2n x 2n board fixed by 180-degree rotation.
-
-    Rows are filled in the pairs (i, 2n+1-i) from the outside in; the rook
-    of the mirror row is forced by symmetry.
-    """
-    size = board.height
-    n = size // 2
-    rows = board.rows
-    word = [0] * size
-
-    def rec(i: int, used: int):
-        if i == n:
-            yield tuple(word)
-            return
-        mirror = size - 1 - i
-        free = rows[i] & ~used
-        while free:
-            bit = free & -free
-            free ^= bit
-            j = bit.bit_length()
-            mbit = 1 << (size - j)
-            if mbit & rows[mirror] & ~used:
-                word[i] = j
-                word[mirror] = size + 1 - j
-                yield from rec(i + 1, used | bit | mbit)
-
-    yield from rec(0, 0)
-
-
 def _check_even_square(board: Board) -> None:
     size = board.height
     if board.width != size or size % 2:
@@ -311,15 +281,15 @@ def _check_even_square(board: Board) -> None:
 
 
 def rb_polynomial_brute(board: Board) -> BiPoly:
-    """Oracle for rb_polynomial: walks every rotationally symmetric full
-    placement and reads off its inversions and neg statistic."""
+    """Oracle for rb_polynomial, the definition itself: sums q^inversions
+    t^neg over the full placements of the board fixed by 180-degree
+    rotation."""
     _check_even_square(board)
     terms: dict[int, LaurentPoly] = {}
-    for word in _symmetric_max_words(board):
-        p = Permutation(word)
-        t_exp = p.neg_statistic()
-        q_term = LaurentPoly.monomial(p.inversions())
-        terms[t_exp] = terms.get(t_exp, ZERO) + q_term
+    for p in max_configs(board):
+        if p.rotate180() == p:
+            t_exp = p.neg_statistic()
+            terms[t_exp] = terms.get(t_exp, ZERO) + LaurentPoly.monomial(p.inversions())
     return BiPoly(terms)
 
 

@@ -4,12 +4,33 @@ and no module imports a name it never uses."""
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 import skewrook
-from skewrook import qalgebra, verify
+from skewrook import qalgebra, rooks, verify
+from skewrook.boards import block_sharp, enumerate_rook_configs, right_hull, triangular
+from skewrook.intervals import (
+    aztec_interval_size,
+    count_lower_interval_dp,
+    max_coset_rep_A,
+    poincare_B_brute,
+    poincare_B_via_rook,
+    poincare_via_rook,
+    theoremA_poincare,
+    theoremB_poincare,
+)
+from skewrook.permutations import Permutation, bruhat_interval, poincare_brute
+from skewrook.rooks import (
+    full_placement_q_poly,
+    q_rook_number,
+    q_rook_number_brute,
+    rb_polynomial,
+    rb_polynomial_brute,
+    rook_number,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["qalgebra", "permutations", "boards", "rooks", "intervals", "verify", "cli"]
@@ -66,6 +87,55 @@ def test_no_unused_imports():
     assert len(files) > 10
     unused = [entry for f in sorted(files) for entry in _unused_imports(f)]
     assert not unused, unused
+
+
+# Fast routes never call the brute-force oracles.
+
+ORACLES = (
+    "q_rook_number_brute",
+    "rb_polynomial_brute",
+    "enumerate_rook_configs",
+    "max_configs",
+    "bruhat_interval",
+    "poincare_brute",
+    "poincare_B_brute",
+)
+
+
+def test_fast_routes_never_call_the_oracles(monkeypatch):
+    board = right_hull(Permutation.from_text("35124"))
+    signed = block_sharp(triangular(2).rotate180(), triangular(2))
+    u, w = Permutation.from_text("2134"), Permutation.from_text("3412")
+    ident, rep = Permutation.identity(4), max_coset_rep_A(4, 2)
+    # each fast route, with its value from an oracle taken before the patch
+    routes = [
+        (lambda: q_rook_number(board, 2), q_rook_number_brute(board, 2)),
+        (lambda: rook_number(board, 3), sum(1 for _ in enumerate_rook_configs(board, 3))),
+        (lambda: full_placement_q_poly(board), q_rook_number_brute(board, 5)),
+        (lambda: rb_polynomial(signed), rb_polynomial_brute(signed)),
+        (lambda: poincare_via_rook(u, w), poincare_brute(u, w)),
+        (lambda: poincare_B_via_rook(2), poincare_B_brute(2)),
+        (lambda: theoremA_poincare(4, 2), poincare_brute(ident, rep.w)),
+        (lambda: theoremB_poincare(2), poincare_B_brute(2)),
+        (lambda: count_lower_interval_dp(rep), len(bruhat_interval(ident, rep.w))),
+        (lambda: aztec_interval_size(2), len(bruhat_interval(rep.w.flip_ud(), rep.w))),
+    ]
+    rooks._q_rook_table.cache_clear()
+    rooks.full_placement_q_poly.cache_clear()
+
+    def raiser(*args, **kwargs):
+        raise AssertionError("a fast route called a brute-force oracle")
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "skewrook"]
+    patched = 0
+    for module in modules:
+        for name in ORACLES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, raiser)
+                patched += 1
+    assert patched >= 2 * len(ORACLES)  # the defining module and the package
+    for route, want in routes:
+        assert route() == want
 
 
 # The benchmark harness reads the recurrences' caches through cache_info()

@@ -136,6 +136,8 @@ def test_poincare_argument_validation():
     assert run_cli("poincare", "--type", "A", "--n", "3", "--k", "3").returncode == 2
     assert run_cli("poincare", "--type", "B", "--n", "2", "--k", "1").returncode == 2
     assert run_cli("poincare", "--u", "12", "--w", "21", "--type", "A").returncode == 2
+    assert run_cli("poincare", "--u", "12", "--w", "21", "--n", "5").returncode == 2
+    assert run_cli("poincare", "--u", "12", "--w", "21", "--k", "1").returncode == 2
     assert run_cli("poincare", "--u", "12").returncode == 2
     assert run_cli("poincare").returncode == 2
 
@@ -207,6 +209,9 @@ def test_count_rejects_bad_word():
     assert "must increase away from position 1" in r.stderr
     assert run_cli("count", "--word", "231").returncode == 2
     assert run_cli("count", "--k", "2").returncode == 2
+    r = run_cli("count", "--n", "7", "--word", "231", "--k", "2")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "--n cannot be combined with --word" in r.stderr
 
 
 def test_qstirling_row():

@@ -52,6 +52,13 @@ def test_text_forms():
         Permutation.from_text("3x1")
 
 
+@pytest.mark.parametrize("text", ["\u0661\u0662", "1\u00b2", "\u0662 \u0661", "1 +2", "-1 2"])
+def test_text_forms_take_ascii_digits_only(text):
+    # int() and str.isdigit() accept other scripts' digits and superscripts
+    with pytest.raises(ValueError, match="bad permutation text"):
+        Permutation.from_text(text)
+
+
 def test_inversions_frozen():
     assert Permutation.identity(5).inversions() == 0
     assert P("3412").inversions() == 4
