@@ -3,6 +3,8 @@ counts, number tables and the self-verification sweeps.
 
 Each method calls one library route: `poincare` builds a polynomial and
 --at-one reads it at q = 1; `count` sizes a coset interval by the recurrence.
+`--method brute` scans the whole group, so it refuses n above a fixed limit
+(10, or 6 for type B) as an input error before the scan starts.
 
 Structured output goes to stdout, diagnostics to stderr.  Exit codes: 0 on
 success, 2 on input errors (any ValueError, from the arguments or from the
@@ -54,6 +56,18 @@ EXIT_INPUT = 2
 EXIT_PATTERN = 3
 EXIT_INTERNAL = 4
 
+# --method brute scans a whole group: S_n for the type-A and pair routes, the
+# signed permutations of B_n for type B.  The limits keep a scan under about
+# 15 s on a 2-core VM (count --n 10 --k 5: 14 s, n = 11 still running at
+# 30 s; --type B --n 6: 2.7 s, n = 7: 42 s).
+_BRUTE_MAX_N = 10
+_BRUTE_MAX_N_B = 6
+
+
+def _check_brute_size(n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"--method brute is limited to n <= {limit}, got n = {n}")
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
@@ -90,6 +104,7 @@ def _poincare_pair(args) -> LaurentPoly:
     if method == "rook":
         return poincare_via_rook(u, w)
     if method == "brute":
+        _check_brute_size(w.size, _BRUTE_MAX_N)
         return poincare_brute(u, w)
     raise ValueError(f"method {method!r} is not valid for a permutation pair")
 
@@ -103,6 +118,7 @@ def _poincare_A(args) -> LaurentPoly:
         return theoremA_poincare(n, k)
     if method == "rook":
         return poincare_via_rook(Permutation.identity(n), max_coset_rep_A(n, k).w)
+    _check_brute_size(n, _BRUTE_MAX_N)
     return poincare_brute(Permutation.identity(n), max_coset_rep_A(n, k).w)
 
 
@@ -116,6 +132,7 @@ def _poincare_B(args) -> LaurentPoly:
         return theoremB_poincare(args.n)
     if method == "rook":
         return poincare_B_via_rook(args.n)
+    _check_brute_size(args.n, _BRUTE_MAX_N_B)
     return poincare_B_brute(args.n)
 
 
@@ -153,6 +170,7 @@ def cmd_count(args) -> int:
             raise ValueError("give --n and --k, or --word and --k")
         rep = max_coset_rep_A(args.n, args.k)
     if args.method == "brute":
+        _check_brute_size(rep.n, _BRUTE_MAX_N)
         count = len(bruhat_interval(Permutation.identity(rep.n), rep.w))
     else:
         count = count_lower_interval_dp(rep)

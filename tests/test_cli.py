@@ -1,6 +1,7 @@
 """End-to-end CLI tests through subprocess: frozen stdout, exit codes,
 error channels and determinism.  The internal-error exit code is tested in
-process, by making a command raise."""
+process, by making a command raise, and so are the size limits of the brute
+methods, with their group scans replaced by stubs."""
 
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 from skewrook import cli
 from skewrook.intervals import max_coset_rep_A
 from skewrook.permutations import Permutation
+from skewrook.qalgebra import LaurentPoly
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -212,6 +214,63 @@ def test_count_rejects_bad_word():
     r = run_cli("count", "--n", "7", "--word", "231", "--k", "2")
     assert (r.returncode, r.stdout) == (2, "")
     assert "--n cannot be combined with --word" in r.stderr
+
+
+def _stub_brute_oracles(monkeypatch):
+    """Replace the group scans the brute methods run with records of the call."""
+    calls = []
+
+    def record(name, value):
+        def stub(*args):
+            calls.append(name)
+            return value
+
+        monkeypatch.setattr(cli, name, stub)
+
+    record("poincare_brute", LaurentPoly.monomial(0))
+    record("poincare_B_brute", LaurentPoly.monomial(0))
+    record("bruhat_interval", set())
+    return calls
+
+
+def _spaced(n):
+    return " ".join(map(str, range(1, n + 1)))
+
+
+# (arguments, the brute oracle they reach) at the largest n each brute method
+# accepts; one more is refused
+BRUTE_AT_LIMIT = [
+    (["count", "--n", "{n}", "--k", "5"], 10, "bruhat_interval"),
+    (["count", "--word", "{word}", "--k", "1"], 10, "bruhat_interval"),
+    (["poincare", "--type", "A", "--n", "{n}", "--k", "5"], 10, "poincare_brute"),
+    (["poincare", "--u", "{word}", "--w", "{word}"], 10, "poincare_brute"),
+    (["poincare", "--type", "B", "--n", "{n}"], 6, "poincare_B_brute"),
+]
+
+
+def test_brute_methods_refuse_n_above_the_limit(monkeypatch, capsys):
+    calls = _stub_brute_oracles(monkeypatch)
+    for template, limit, oracle in BRUTE_AT_LIMIT:
+        for n, code in ((limit, 0), (limit + 1, 2)):
+            argv = [a.format(n=n, word=_spaced(n)) for a in template] + ["--method", "brute"]
+            del calls[:]
+            assert cli.main(argv) == code, argv
+            out, err = capsys.readouterr()
+            if code:
+                # refused before the scan starts, naming n and the limit
+                assert calls == [] and out == ""
+                assert f"limited to n <= {limit}, got n = {n}" in err
+            else:
+                assert calls == [oracle] and err == ""
+
+
+def test_brute_refusal_exits_2_from_the_command_line():
+    r = run_cli("count", "--n", "11", "--k", "5", "--method", "brute")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: --method brute is limited to n <= 10, got n = 11\n"
+    r = run_cli("poincare", "--type", "B", "--n", "7", "--method", "brute")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "limited to n <= 6, got n = 7" in r.stderr
 
 
 def test_qstirling_row():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skewrook import rooks
 from skewrook.boards import (
     MAX_WIDTH,
     Board,
@@ -154,13 +155,77 @@ def _random_board(rng, n, density):
     )
 
 
+def _transpose(b):
+    n = b.width
+    return Board(tuple(sum(1 << i for i in range(n) if b.rows[i] >> j & 1) for j in range(n)), n)
+
+
+def _orphan_early(rng, b):
+    """b with one column whose last one-cell sits in one of the first rows,
+    so a top-down scan must fill that column early or drop the state."""
+    n = b.height
+    col, row = 1 << rng.randrange(n), rng.randrange(max(1, n // 3))
+    return Board(tuple((m | col) if i == row else m & ~col if i > row else m
+                       for i, m in enumerate(b.rows)), n)
+
+
+def _empty_column(rng, b):
+    col = 1 << rng.randrange(b.height)
+    return Board(tuple(m & ~col for m in b.rows), b.height)
+
+
+def _pruned_cases():
+    rng = random.Random(11)
+    plain = [_random_board(rng, rng.randint(3, 7), rng.uniform(0.4, 1.0)) for _ in range(90)]
+    orphan = [_orphan_early(rng, b) for b in plain[:60]]
+    return plain, orphan, [_empty_column(rng, b) for b in plain[60:]]
+
+
 def test_packed_full_placement_matches_enumeration():
     rng = random.Random(11)
     cases = [Board((), 0), ones(1, 1), zeros(1, 1), Board((0b11, 0), 2)]
-    cases += [_random_board(rng, rng.randint(0, 6), rng.random()) for _ in range(150)]
+    cases += [_random_board(rng, rng.randint(0, 7), rng.random()) for _ in range(150)]
     assert any(0 in b.rows for b in cases[4:])
-    for b in cases:
+    plain, orphan, empty = _pruned_cases()
+    assert sum(b.height == 7 for b in plain) >= 15
+    for b in cases + plain + orphan:
         assert full_placement_q_poly(b) == q_rook_number_brute(b, b.height), b.to_text()
+    # an orphaned column must be filled while the rows still reach it
+    assert sum(not full_placement_q_poly(b).is_zero for b in orphan) >= 20
+    for b in empty:
+        assert full_placement_q_poly(b).is_zero and q_rook_number_brute(b, b.height).is_zero
+
+
+def test_full_placement_is_transpose_invariant():
+    plain, orphan, _ = _pruned_cases()
+    for b in plain + orphan:
+        assert full_placement_q_poly(b) == full_placement_q_poly(_transpose(b)), b.to_text()
+
+
+# right hulls whose column scan has the smaller state bound, and the larger
+COLUMNS_CHEAPER = right_hull(Permutation((2, 5, 3, 1, 4)))
+ROWS_CHEAPER = right_hull(Permutation((3, 1, 4, 5, 2)))
+
+
+@pytest.mark.parametrize("board, scan_columns", [(COLUMNS_CHEAPER, True), (ROWS_CHEAPER, False)])
+def test_full_placement_scans_the_cheaper_orientation(monkeypatch, board, scan_columns):
+    n, full = board.height, (1 << board.height) - 1
+    rows, cols = board.rows, _transpose(board).rows
+    row_bound, col_bound = rooks._scan_plan(rows, full)[0], rooks._scan_plan(cols, full)[0]
+    assert (col_bound < row_bound) == scan_columns, (row_bound, col_bound)
+    expected = q_rook_number_brute(board, n)
+    assert not expected.is_zero
+    # hand the DP a plan that kills every state for the orientation it must
+    # skip: the answer survives only if it scans the other one
+    skipped = rows if scan_columns else cols
+    scan_plan = rooks._scan_plan
+
+    def poisoned(scan, every_column):
+        bound, orphaned = scan_plan(scan, every_column)
+        return bound, [full] * n if tuple(scan) == skipped else orphaned
+
+    monkeypatch.setattr(rooks, "_scan_plan", poisoned)
+    assert full_placement_q_poly.__wrapped__(board) == expected
 
 
 def test_full_placement_is_cached_per_board():
