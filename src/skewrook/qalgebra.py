@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate
 from operator import sub
 from threading import Lock
@@ -490,17 +490,27 @@ def stirling2(n: int, k: int) -> int:
     )
 
 
-@lru_cache(maxsize=1)
+# [m, (S(m, 0), ..., S(m, m))] for the last row built.
+_STIRLING2_ROW: list = [0, (1,)]
+_STIRLING2_ROW_LOCK = Lock()
+
+
 def _stirling2_row(n: int) -> tuple[int, ...]:
     """Row n of the Stirling triangle, S(n, 0), ..., S(n, n).
 
-    Built by the stirling2 recurrence in one rolling list, so only the
-    current row is ever held; the last row asked for stays cached.
+    Built by the stirling2 recurrence in one rolling list, upward from the
+    last row built when n is not below it and from row 0 otherwise, so only
+    one row is ever held.  The last row is kept rather than the largest:
+    callers such as the theorem8 table climb k = 1, 2, ... afresh for each
+    n, and each step then costs one row.
     """
-    row = [1]
-    for m in range(1, n + 1):
-        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
-    return tuple(row)
+    with _STIRLING2_ROW_LOCK:
+        top, row = _STIRLING2_ROW if n >= _STIRLING2_ROW[0] else (0, (1,))
+        for m in range(top + 1, n + 1):
+            row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+        row = tuple(row)
+        _STIRLING2_ROW[:] = [n, row]
+    return row
 
 
 def poly_bernoulli(n: int, k: int) -> int:
@@ -509,8 +519,9 @@ def poly_bernoulli(n: int, k: int) -> int:
     Evaluated through the alternating sum
     (-1)^n * sum_i (-1)^i (i+1)^(-k) i! S(n,i), which is exact for every
     n >= 0 and k <= 0 and satisfies the symmetry B_n^(-m) = B_m^(-n).
-    Row n of the Stirling numbers is computed on its own, not through the
-    stirling2 table, so a large n holds one row, not the triangle above it.
+    Row n of the Stirling numbers comes from _stirling2_row, not from the
+    stirling2 table, so a large n holds one row, not the triangle above it,
+    and a run of calls with ascending n builds each row once.
     """
     if n < 0:
         raise ValueError("poly_bernoulli needs a nonnegative lower index")

@@ -37,12 +37,17 @@ rb_polynomial_brute, which walks every full placement (boards.max_configs)
 and keeps those fixed by 180-degree rotation.  The oracle never pairs
 mirror rows, so it shares no step with the DP it checks.
 
-The two full-placement DPs, full_placement_q_poly and rb_polynomial, keep
-each state's polynomial as one nonnegative int packed by Kronecker
-substitution q -> 2^B, with B bounded from the board before the scan (see
-qalgebra._unpack for the rule); a transition is one shift and one add, and
-the int is unpacked once at the end.  _q_rook_table still holds a
-LaurentPoly per state.
+All three DPs share one state rule: a state's key is a bit mask of what
+the placements reaching it have taken, its value is their q-weight and
+nothing else, and every other count is read off the key.  _q_rook_table
+reads the rook count as the key's popcount, and rb_polynomial, whose key
+holds the taken columns and the set of values placed, reads neg off the
+latter.  The two full-placement DPs pack the q-weight into one
+nonnegative int by Kronecker substitution q -> 2^B, with B bounded from
+the board before the scan (see qalgebra._unpack for the rule), so every
+packed int holds one q-polynomial at one width; a transition is one shift
+and one add, and each int is unpacked once at the end.  _q_rook_table
+still holds a LaurentPoly per state.
 """
 
 from __future__ import annotations
@@ -355,17 +360,16 @@ def rb_polynomial(board: Board) -> BiPoly:
     its mirror image.  Putting v in top row i needs the one-cells (i, v) and
     (2n+1-i, 2n+1-v); against the rows already filled and their mirrors it
     adds 2 (#{t in T: t > v} + #{t in T: t > 2n+1-v}) + [v > n] inversions,
-    the last term from the pair of rows i and 2n+1-i, and [v > n] to neg.
+    the last term from the pair of rows i and 2n+1-i.  neg is the number of
+    values in T above n, so it is read off the final states.
 
-    A state's polynomial is one int, packed by q^a t^b -> 2^(B (a + D b))
-    with D = n(2n-1) + 1, one more than the largest inversion number.  Row
-    i (from 0) offers at most min(choices, 2n - 2i) values, and B is the
-    bit length of the product of those counts.
+    A state's q-polynomial is one int, packed by q -> 2^B.  Row i (from 0)
+    offers at most min(choices, 2n - 2i) values, and B is the bit length of
+    the product of those counts.
     """
     _check_even_square(board)
     size = board.height
     n = size // 2
-    value_bits = (1 << size) - 1
     # allowed[i]: the values v with one-cells at (i, v) and at its mirror
     allowed = [a & b for a, b in zip(board.rows[:n], board.rotate180().rows)]
     bound = 1
@@ -374,30 +378,25 @@ def rb_polynomial(board: Board) -> BiPoly:
     if not bound:
         return BiPoly({})
     width = bound.bit_length()
-    span = n * (size - 1) + 1
-    # a state key holds T in its low `size` bits and the taken columns above
+    # a state key holds the taken columns in its low `size` bits and T above
     states: dict[int, int] = {0: 1}
     for mask in allowed:
         nxt: dict[int, int] = {}
         for key, packed in states.items():
-            placed = key & value_bits
-            free = mask & ~(key >> size)
+            placed = key >> size
+            free = mask & ~key
             while free:
                 bit = free & -free
                 free ^= bit
                 v = bit.bit_length()
-                mbit = 1 << (size - v)
-                inc = 2 * ((placed >> v).bit_count() + (placed >> (size + 1 - v)).bit_count())
-                if v > n:
-                    inc += 1 + span
-                tgt = key | bit | ((bit | mbit) << size)
-                nxt[tgt] = nxt.get(tgt, 0) + (packed << (width * inc))
+                above = (placed >> v).bit_count() + (placed >> (size + 1 - v)).bit_count()
+                tgt = key | bit | (1 << (size - v)) | (bit << size)
+                nxt[tgt] = nxt.get(tgt, 0) + (packed << (width * (2 * above + (v > n))))
         states = nxt
-    digits = _unpack(sum(states.values()), width)
-    return BiPoly(
-        (t, LaurentPoly(enumerate(digits[t * span:(t + 1) * span])))
-        for t in range(n + 1)
-    )
+    by_neg = [0] * (n + 1)
+    for key, packed in states.items():
+        by_neg[(key >> (size + n)).bit_count()] += packed
+    return BiPoly((t, LaurentPoly(enumerate(_unpack(p, width)))) for t, p in enumerate(by_neg))
 
 
 def sharp_rb(a: Board) -> BiPoly:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from skewrook.qalgebra import (
     BiPoly,
+    _stirling2_row,
     _unpack,
     LaurentPoly,
     poly_bernoulli,
@@ -320,6 +321,36 @@ def test_poly_bernoulli_matches_the_stirling2_table():
                 for i in range(n + 1)
             )
             assert poly_bernoulli(n, -k) == want, (n, k)
+
+
+def test_stirling2_row_any_access_order_and_threads():
+    # the row helper rolls on from the last row built: rows asked for in
+    # ascending, descending, repeated and shuffled order from this thread,
+    # then in shuffled order from eight threads at once
+    want = [tuple(stirling2(n, k) for k in range(n + 1)) for n in range(25)]
+    wrong = []
+
+    def work(order):
+        wrong.extend(n for n in order if _stirling2_row(n) != want[n])
+
+    shuffled = list(range(25)) * 2
+    random.Random(5).shuffle(shuffled)
+    for order in (range(25), range(24, -1, -1), [7, 7, 3, 3, 12, 12, 0, 0], shuffled):
+        work(order)
+    assert wrong == []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        orders = [random.Random(s).sample(range(25), 25) for s in range(8)]
+        workers = [threading.Thread(target=work, args=(o,)) for o in orders]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in workers)
+    assert wrong == []
 
 
 def test_poly_bernoulli_holds_one_stirling_row():

@@ -1,0 +1,79 @@
+"""Every public refusal that no other test reaches: each bad input gets its
+own exception type and message, raised before any work is done."""
+
+import inspect
+
+import pytest
+
+from skewrook.boards import (
+    Board,
+    all_skew_ferrers_boards,
+    enumerate_rook_configs,
+    ones,
+    triangular,
+    zeros,
+)
+from skewrook.intervals import coset_reps_A, symmetric_permutations
+from skewrook.permutations import Permutation, bruhat_interval, eulerian_gf, poincare_brute
+from skewrook.qalgebra import (
+    LaurentPoly,
+    poly_bernoulli,
+    q_factorial,
+    q_falling,
+    q_stirling,
+    stirling2,
+)
+from skewrook.rooks import full_placement_q_poly, sharp_rb
+
+ID2, ID3 = Permutation.identity(2), Permutation.identity(3)
+SQUARE = ones(2, 2)
+
+REFUSALS = [
+    (full_placement_q_poly, (ones(2, 3),), ValueError, "need a square board"),
+    (sharp_rb, (ones(2, 3),), ValueError, "need a square board"),
+    (coset_reps_A, (3, 0), ValueError, "need 1 <= k <= n-1"),
+    (coset_reps_A, (3, 3), ValueError, "need 1 <= k <= n-1"),
+    (symmetric_permutations, (-1,), ValueError, "need n >= 0"),
+    (Permutation.identity, (-1,), ValueError, "size must be nonnegative"),
+    (Permutation.from_text, ("1234567890",), ValueError, "only covers n <= 9"),
+    (ID2, (0,), ValueError, "position 0 out of range 1..2"),
+    (Permutation.neg_statistic, (ID3,), ValueError, "needs an even size"),
+    (bruhat_interval, (ID2, ID3), ValueError, "must have the same size"),
+    (poincare_brute, (ID2, ID3), ValueError, "must have the same size"),
+    (eulerian_gf, (ID2, ID3), ValueError, "must have the same size"),
+    (SQUARE.cell, (3, 1), ValueError, "cell (3, 1) out of range"),
+    (SQUARE.cell, (1, 0), ValueError, "cell (1, 0) out of range"),
+    (Board.from_matrix, ([[1, 0], [1]],), ValueError, "ragged matrix"),
+    (Board.from_matrix, ([[1, 2]],), ValueError, "must be 0 or 1, got 2"),
+    (ones, (-1, 2), ValueError, "dimensions must be nonnegative"),
+    (ones, (2, -1), ValueError, "dimensions must be nonnegative"),
+    (zeros, (-1, 0), ValueError, "dimensions must be nonnegative"),
+    (triangular, (-1,), ValueError, "size must be nonnegative"),
+    (enumerate_rook_configs, (SQUARE, -1), ValueError, "rook count must be nonnegative"),
+    (SQUARE.is_skew_ferrers, ("up",), ValueError, "align must be 'left' or 'right'"),
+    (all_skew_ferrers_boards, (2, 2, "up"), ValueError, "align must be 'left' or 'right'"),
+    (q_factorial, (-1,), ValueError, "nonnegative argument"),
+    (q_falling, (3, -1), ValueError, "nonnegative length"),
+    (q_stirling, (-1, 0), ValueError, "nonnegative row index"),
+    (stirling2, (-1, 0), ValueError, "nonnegative row index"),
+    (poly_bernoulli, (-1, 0), ValueError, "nonnegative lower index"),
+    (poly_bernoulli, (2, 1.5), ValueError, "integer upper index"),
+    (LaurentPoly, ({1.5: 1},), TypeError, "exponent must be int, got 1.5"),
+    (LaurentPoly, ({0: 1.5},), TypeError, "coefficient must be int, got 1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, error, message",
+    REFUSALS,
+    ids=[
+        f"{getattr(fn, '__qualname__', type(fn).__name__)}({', '.join(map(repr, args))})"
+        for fn, args, _, _ in REFUSALS
+    ],
+)
+def test_public_refusal(fn, args, error, message):
+    with pytest.raises(error) as info:
+        out = fn(*args)
+        if inspect.isgenerator(out):
+            next(out)  # a generator refuses when first consumed
+    assert message in str(info.value)
