@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .permutations import Permutation
@@ -132,11 +133,22 @@ class Board:
         return tuple(mask.bit_count() for mask in self.rows)
 
     def col_lengths(self) -> tuple[int, ...]:
-        return tuple(
-            sum(1 for mask in self.rows if mask >> j & 1) for j in range(self.width)
-        )
+        return self.transpose().row_lengths()
 
     # -- symmetries -----------------------------------------------------------
+
+    def transpose(self) -> "Board":
+        """The n x m board whose row j is column j of this one.  A board of
+        more than MAX_WIDTH rows has no transpose, so it is refused here and
+        in col_lengths."""
+        cols = [0] * self.width
+        for i, mask in enumerate(self.rows):
+            bit = 1 << i
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                cols[low.bit_length() - 1] |= bit
+        return Board(tuple(cols), len(self.rows))
 
     def flip_ud(self) -> "Board":
         return Board(self.rows[::-1], self.width)
@@ -186,7 +198,7 @@ class Board:
                 continue
             lo = (mask & -mask).bit_length()
             hi = mask.bit_length()
-            if mask != ((1 << hi) - 1) ^ ((1 << (lo - 1)) - 1):
+            if mask != _interval_mask(lo, hi):
                 return False  # row is not a contiguous interval
             if prev_span is not None:
                 plo, phi = prev_span
@@ -371,20 +383,6 @@ def max_configs(board: Board) -> set[Permutation]:
 # -- exhaustive skew Ferrers generation (shared by tests and verification) ----
 
 
-def _partitions_in_box(rows: int, cols: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing tuples of length `rows` with entries in 0..cols."""
-    def rec(prefix: list[int], remaining: int, bound: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for v in range(bound, -1, -1):
-            prefix.append(v)
-            yield from rec(prefix, remaining - 1, v)
-            prefix.pop()
-
-    yield from rec([], rows, cols)
-
-
 @cache
 def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board, ...]:
     """Every m x n skew Ferrers board, built from the definition.
@@ -401,8 +399,10 @@ def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board
         raise ValueError("align must be 'left' or 'right'")
     seen: set[tuple[int, ...]] = set()
     out: list[Board] = []
-    for lam in _partitions_in_box(m, n):
-        for mu in _partitions_in_box(m, n):
+    # the weakly decreasing m-tuples over 0..n, largest first
+    partitions = list(combinations_with_replacement(range(n, -1, -1), m))
+    for lam in partitions:
+        for mu in partitions:
             if any(mu[i] > lam[i] for i in range(m)):
                 continue
             rows = tuple(

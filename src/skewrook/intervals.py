@@ -178,7 +178,7 @@ def _dp_table(rep: CosetRepA) -> list[list[int]]:
             if in_run and b > 0:
                 acc += f[a + 1][b - 1]
             f[a][b] = (heights[a - 1] - a - b + 1) * acc
-    return [row[:] for row in f[1:]]
+    return f[1:]
 
 
 def count_lower_interval_dp(rep: CosetRepA) -> int:

@@ -105,8 +105,7 @@ class Permutation:
         return sum(1 for a in range(i) if self.word[a] >= j)
 
     def descent_number(self) -> int:
-        w = self.word
-        return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+        return _descents(self.word)
 
     def neg_statistic(self) -> int:
         """For even size 2n, the count of i in [n+1, 2n] with word(i) <= n."""
@@ -225,6 +224,10 @@ def _inversions(word: tuple[int, ...]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
 
 
+def _descents(word: tuple[int, ...]) -> int:
+    return sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
+
+
 def _rank_table(word: tuple[int, ...]) -> list[list[int]]:
     """t[i][j] = #{a <= i : word(a) >= j} for 0 <= i <= n, 1 <= j <= n."""
     n = len(word)
@@ -306,8 +309,7 @@ def eulerian_gf(u: Permutation, w: Permutation) -> BiPoly:
         raise ValueError("permutations must have the same size")
     counts: Counter[tuple[int, int]] = Counter()
     for word in _interval_words(u.word, w.word):
-        d = sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
-        counts[d, _inversions(word)] += 1
+        counts[_descents(word), _inversions(word)] += 1
     acc: dict[int, dict[int, int]] = {}
     for (d, l), c in counts.items():
         acc.setdefault(d, {})[l] = c

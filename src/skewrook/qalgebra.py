@@ -128,16 +128,12 @@ class LaurentPoly:
                 acc[e] = v
             elif e in acc:
                 del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_coeffs", acc)
-        return out
+        return _wrap(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_coeffs", {e: -c for e, c in self._coeffs.items()})
-        return out
+        return _wrap({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -164,9 +160,7 @@ class LaurentPoly:
                     acc[e] = v
                 elif e in acc:
                     del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_coeffs", acc)
-        return out
+        return _wrap(acc)
 
     __rmul__ = __mul__
 
@@ -202,17 +196,13 @@ class LaurentPoly:
 
     def substitute_q_inverse(self) -> "LaurentPoly":
         """The image under q -> 1/q (exponent negation)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_coeffs", {-e: c for e, c in self._coeffs.items()})
-        return out
+        return _wrap({-e: c for e, c in self._coeffs.items()})
 
     def stretch(self, m: int) -> "LaurentPoly":
         """The image under q -> q^m for m >= 1 (exponent scaling)."""
         if not isinstance(m, int) or m < 1:
             raise ValueError("stretch factor must be a positive int")
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_coeffs", {m * e: c for e, c in self._coeffs.items()})
-        return out
+        return _wrap({m * e: c for e, c in self._coeffs.items()})
 
     def evaluate_at_one(self) -> int:
         return sum(self._coeffs.values())
@@ -277,6 +267,14 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({dict(self.items())!r})"
+
+
+def _wrap(coeffs: dict[int, int]) -> LaurentPoly:
+    """A LaurentPoly around a fresh dict, with no checks: the caller owns
+    the dict, and it holds int exponents and nonzero int coefficients."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    object.__setattr__(out, "_coeffs", coeffs)
+    return out
 
 
 ZERO = LaurentPoly()

@@ -25,11 +25,12 @@ verify checks.
 
 Full placement keeps its own DP because it scans top-down, carries only
 placements with a rook in every row so far, drops a state as soon as a
-column it misses has no one-cell left below, and scans the transpose when
-that bounds fewer states.  On the hull intersections of the bruhat-pairs
-benchmark workload (seed 0) it makes 0.029M mask transitions (0.21M
-without the prune and the orientation pick); a bottom-up scan restricted
-to a rook in every row makes 2.80M, and the all-k table 49.4M.
+column it misses has no one-cell left below, and scans the rows of
+Board.transpose instead when that bounds fewer states.  On the hull
+intersections of the bruhat-pairs benchmark workload (seed 0) it makes
+0.029M mask transitions (0.21M without the prune and the orientation
+pick); a bottom-up scan restricted to a rook in every row makes 2.80M, and
+the all-k table 49.4M.
 
 The signed statistic of the hyperoctahedral group has the same pair: the
 DP rb_polynomial over the top half of an even board, and the oracle
@@ -132,20 +133,19 @@ def _q_rook_table(rows: tuple[int, ...], width: int) -> tuple[LaurentPoly, ...]:
     states: dict[int, LaurentPoly] = {0: ONE}
     for mask in reversed(rows):
         nxt: dict[int, LaurentPoly] = {}
-
-        def add(occ: int, poly: LaurentPoly) -> None:
-            old = nxt.get(occ)
-            nxt[occ] = poly if old is None else old + poly
-
         for occ, poly in states.items():
-            add(occ, poly * LaurentPoly.monomial(width - occ.bit_count()))
+            skip = poly * LaurentPoly.monomial(width - occ.bit_count())
+            old = nxt.get(occ)
+            nxt[occ] = skip if old is None else old + skip
             free = mask & ~occ
             while free:
                 bit = free & -free
                 free ^= bit
                 j = bit.bit_length()
-                place_exp = width - j - (occ >> j).bit_count()
-                add(occ | bit, poly * LaurentPoly.monomial(place_exp))
+                key = occ | bit
+                place = poly * LaurentPoly.monomial(width - j - (occ >> j).bit_count())
+                old = nxt.get(key)
+                nxt[key] = place if old is None else old + place
         states = nxt
     table = [ZERO] * (min(len(rows), width) + 1)
     for occ, poly in states.items():
@@ -191,8 +191,8 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
     rook once the row is done: a state missing two such columns is dropped,
     and a state missing one may place its rook only there.  Transposing the
     board maps each placement w to w^-1, with the same inversion number, so
-    the DP scans whichever of the rows and the columns has the smaller
-    state bound (_scan_plan), the rows on a tie.
+    the DP scans the rows of whichever of the board and board.transpose()
+    has the smaller state bound (_scan_plan), the board itself on a tie.
 
     Each state's polynomial is one int, packed by q -> 2^B.  Row i (from 0)
     of the scan offers at most min(popcount, n - i) columns, so no
@@ -201,17 +201,10 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
     n = board.height
     if board.width != n:
         raise ValueError("full placements need a square board")
-    rows = board.rows
-    cols = [0] * n
-    for i, mask in enumerate(rows):
-        bit = 1 << i
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            cols[low.bit_length() - 1] |= bit
+    rows, cols = board.rows, board.transpose().rows
     full = (1 << n) - 1
     row_cost, orphaned = _scan_plan(rows, full)
-    col_cost, col_orphaned = _scan_plan(tuple(cols), full)
+    col_cost, col_orphaned = _scan_plan(cols, full)
     if col_cost < row_cost:
         rows, orphaned = cols, col_orphaned
     bound = 1

@@ -1,6 +1,7 @@
 """Boards: recognition, symmetry, composition, hulls and rook enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -116,6 +117,44 @@ def test_flip_and_rotate_are_involutions(b):
     assert b.rotate180().rotate180() == b
     assert b.flip_ud().row_lengths() == tuple(reversed(b.row_lengths()))
     assert b.rotate180().col_lengths() == tuple(reversed(b.col_lengths()))
+
+
+def test_transpose_frozen():
+    assert LAMBDA_BOARD.transpose() == Board.parse("##.\n##.\n#..\n...")
+    assert ones(2, 3).transpose() == ones(3, 2)
+    assert triangular(3).transpose() == triangular(3)
+    assert Board((0, 0), 0).transpose() == Board((), 2)
+
+
+@given(boards())
+def test_transpose_is_an_involution_that_swaps_dims(b):
+    t = b.transpose()
+    assert t.dims == b.dims[::-1]
+    assert t.transpose() == b
+    m, n = b.dims
+    assert all(t.cell(j, i) == b.cell(i, j) for i in range(1, m + 1) for j in range(1, n + 1))
+    assert b.col_lengths() == t.row_lengths()
+    assert b.col_lengths() == tuple(
+        sum(b.cell(i, j) for i in range(1, m + 1)) for j in range(1, n + 1)
+    )
+
+
+def _inverse(p):
+    word = [0] * p.size
+    for i, v in enumerate(p.word, 1):
+        word[v - 1] = i
+    return Permutation(tuple(word))
+
+
+def test_transpose_inverts_every_full_placement():
+    # the orientation pick in rooks.full_placement_q_poly rests on this
+    rng = random.Random(6)
+    square = [b for b in _all_boards(3, 3) if b.height == b.width]
+    dense = [Board(tuple(sum(1 << j for j in range(6) if rng.random() < 0.75)
+                         for _ in range(6)), 6) for _ in range(60)]
+    assert sum(bool(max_configs(b)) for b in dense) >= 30
+    for b in [Board((), 0)] + square + dense:
+        assert max_configs(b.transpose()) == {_inverse(p) for p in max_configs(b)}, b.to_text()
 
 
 def test_is_ferrers_frozen():

@@ -253,6 +253,25 @@ def test_theoremA_matches_brute_force():
             )
 
 
+def test_theoremA_matches_the_rook_route_beyond_brute_force():
+    """Closed form against the hull route for all 1 <= k < n <= 16, past
+    the n <= 8 that the brute-force tests reach (about 2 s)."""
+    for n in range(2, 17):
+        for k in range(1, n):
+            rook = poincare_via_rook(Permutation.identity(n), max_coset_rep_A(n, k).w)
+            assert theoremA_poincare(n, k) == rook, (n, k)
+
+
+def test_counting_dp_matches_the_rook_route_on_every_rep():
+    """The counting recurrence against the hull route at q = 1, on all
+    4,072 coset representatives with n <= 11 (about 2 s)."""
+    reps = [rep for n in range(2, 12) for k in range(1, n) for rep in coset_reps_A(n, k)]
+    assert len(reps) == 4072
+    for rep in reps:
+        rook = poincare_via_rook(Permutation.identity(rep.n), rep.w)
+        assert count_lower_interval_dp(rep) == rook.evaluate_at_one(), rep
+
+
 def test_theoremA_at_one_matches_counts():
     for n in range(2, 8):
         for k in range(1, n):
@@ -348,7 +367,9 @@ def test_theoremB_matches_brute_force():
 
 
 def test_typeB_hull_route_matches_the_closed_form():
-    for n in range(1, 10):
+    """Closed form against the signed hull DP for n <= 11, past the n <= 4
+    that the group-scan tests reach (about 0.6 s)."""
+    for n in range(1, 12):
         assert poincare_B_via_rook(n) == theoremB_poincare(n), n
 
 

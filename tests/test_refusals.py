@@ -6,6 +6,7 @@ import inspect
 import pytest
 
 from skewrook.boards import (
+    MAX_WIDTH,
     Board,
     all_skew_ferrers_boards,
     enumerate_rook_configs,
@@ -27,6 +28,7 @@ from skewrook.rooks import full_placement_q_poly, sharp_rb
 
 ID2, ID3 = Permutation.identity(2), Permutation.identity(3)
 SQUARE = ones(2, 2)
+TALL = zeros(MAX_WIDTH + 1, 1)
 
 REFUSALS = [
     (full_placement_q_poly, (ones(2, 3),), ValueError, "need a square board"),
@@ -43,6 +45,8 @@ REFUSALS = [
     (eulerian_gf, (ID2, ID3), ValueError, "must have the same size"),
     (SQUARE.cell, (3, 1), ValueError, "cell (3, 1) out of range"),
     (SQUARE.cell, (1, 0), ValueError, "cell (1, 0) out of range"),
+    (TALL.transpose, (), ValueError, f"board width must be in 0..{MAX_WIDTH}"),
+    (TALL.col_lengths, (), ValueError, f"board width must be in 0..{MAX_WIDTH}"),
     (Board.from_matrix, ([[1, 0], [1]],), ValueError, "ragged matrix"),
     (Board.from_matrix, ([[1, 2]],), ValueError, "must be 0 or 1, got 2"),
     (ones, (-1, 2), ValueError, "dimensions must be nonnegative"),

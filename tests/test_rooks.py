@@ -155,11 +155,6 @@ def _random_board(rng, n, density):
     )
 
 
-def _transpose(b):
-    n = b.width
-    return Board(tuple(sum(1 << i for i in range(n) if b.rows[i] >> j & 1) for j in range(n)), n)
-
-
 def _orphan_early(rng, b):
     """b with one column whose last one-cell sits in one of the first rows,
     so a top-down scan must fill that column early or drop the state."""
@@ -199,7 +194,7 @@ def test_packed_full_placement_matches_enumeration():
 def test_full_placement_is_transpose_invariant():
     plain, orphan, _ = _pruned_cases()
     for b in plain + orphan:
-        assert full_placement_q_poly(b) == full_placement_q_poly(_transpose(b)), b.to_text()
+        assert full_placement_q_poly(b) == full_placement_q_poly(b.transpose()), b.to_text()
 
 
 # right hulls whose column scan has the smaller state bound, and the larger
@@ -210,7 +205,7 @@ ROWS_CHEAPER = right_hull(Permutation((3, 1, 4, 5, 2)))
 @pytest.mark.parametrize("board, scan_columns", [(COLUMNS_CHEAPER, True), (ROWS_CHEAPER, False)])
 def test_full_placement_scans_the_cheaper_orientation(monkeypatch, board, scan_columns):
     n, full = board.height, (1 << board.height) - 1
-    rows, cols = board.rows, _transpose(board).rows
+    rows, cols = board.rows, board.transpose().rows
     row_bound, col_bound = rooks._scan_plan(rows, full)[0], rooks._scan_plan(cols, full)[0]
     assert (col_bound < row_bound) == scan_columns, (row_bound, col_bound)
     expected = q_rook_number_brute(board, n)
