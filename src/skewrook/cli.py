@@ -3,8 +3,9 @@ counts, number tables and the self-verification sweeps.
 
 Each method calls one library route: `poincare` builds a polynomial and
 --at-one reads it at q = 1; `count` sizes a coset interval by the recurrence.
-`--method brute` scans the whole group, so it refuses n above a fixed limit
-(10, or 6 for type B) as an input error before the scan starts.
+`--method brute` enumerates the interval by the rank-count criterion alone, so
+it refuses n above a fixed limit (10, or 6 for type B) as an input error
+before the enumeration starts.
 
 Structured output goes to stdout, diagnostics to stderr.  Exit codes: 0 on
 success, 2 on input errors (any ValueError, from the arguments or from the
@@ -56,10 +57,10 @@ EXIT_INPUT = 2
 EXIT_PATTERN = 3
 EXIT_INTERNAL = 4
 
-# --method brute scans a whole group: S_n for the type-A and pair routes, the
-# signed permutations of B_n for type B.  The limits keep a scan under about
-# 15 s on a 2-core VM (count --n 10 --k 5: 14 s, n = 11 still running at
-# 30 s; --type B --n 6: 2.7 s, n = 7: 42 s).
+# --method brute searches the prefixes of S_n for the type-A and pair routes
+# and scans the signed permutations of B_n for type B.  The limits keep a run
+# under about 3 s on a 2-core VM (count --n 10 --k 5: 2.5 s; --type B --n 6:
+# 0.9 s).
 _BRUTE_MAX_N = 10
 _BRUTE_MAX_N_B = 6
 

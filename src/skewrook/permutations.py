@@ -1,16 +1,21 @@
 """Permutations of [n] in one-line notation: inversion, descent and sign
 statistics, Bruhat order, interval enumeration, and pattern containment.
 
-The Bruhat machinery here is the project's oracle, so it favours the most
-direct correct formulation over speed: comparison is the rank-count
-criterion applied entrywise, and interval enumeration literally filters all
-of S_n (with an early exit per candidate, which changes nothing about what
-is accepted).
+The Bruhat machinery here is the project's oracle, so it tests nothing but
+the rank-count criterion: u <= v iff #{a <= i : u(a) >= j} is at most the
+same count of v for every i and j.  Row i of those counts reads only the
+first i letters of a word.  So comparison builds the rows one at a time and
+stops at the first failing row, and interval enumeration is a depth-first
+search over prefixes that extends a prefix only while its row holds.  A
+pruned prefix has no completion in the interval, and a complete word passed
+every row, so the search accepts exactly the words that a filter of all of
+S_n accepts, in the same order.
 
-Pattern containment is the exception: it guards every rook-route Poincare
-polynomial, so it is a depth-first search that extends a partial occurrence
-only while it stays order-isomorphic to the pattern's prefix.  Its oracle,
-the scan over all C(n, k) position sets, lives in tests/test_permutations.py.
+Pattern containment guards every rook-route Poincare polynomial, so it too
+is a depth-first search, one that extends a partial occurrence only while it
+stays order-isomorphic to the pattern's prefix.  The plain scans these
+searches replace, the C(n, k) position sets and the filter of S_n by full
+rank tables, are kept as oracles in tests/test_permutations.py.
 """
 
 from __future__ import annotations
@@ -240,13 +245,25 @@ def _rank_table(word: tuple[int, ...]) -> list[list[int]]:
 
 
 def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Yield every word v of S_n with u <= v <= w, by filtering all of S_n.
+    """Yield every word v of S_n with u <= v <= w, in itertools.permutations
+    order, by a depth-first search over prefixes.
 
-    Per row only the rank constraints that can actually bind are checked;
-    a row failure rules out every completion of the prefix, so breaking out
-    early is purely an optimization.
+    Row i of the rank-count criterion reads only the first i letters, so a
+    prefix that breaks a row has no completion in the interval, and a word
+    whose every prefix keeps its row is in it.  Per row only the constraints
+    (j, lo, hi) that can bind are kept.  Placing v adds 1 to the count k of
+    placed values >= j exactly when v >= j: if only k + 1 lies in [lo, hi]
+    the row forces v >= j, if only k does it forces v < j, and if neither
+    does the prefix is dead.  So each row admits one window [vlo, vhi] of
+    values, and trying its free values in increasing order keeps the
+    lexicographic order.  Row n holds for every word, so the last letter is
+    the one value left.  The stack holds, per row, the values placed above
+    it and the candidates not yet tried, as bitmasks over 1..n.
     """
     n = len(u)
+    if n < 2:  # S_0 and S_1 have one word, in every interval
+        yield u
+        return
     ut, wt = _rank_table(u), _rank_table(w)
     row_cons: list[tuple[tuple[int, int, int], ...]] = []
     for i in range(1, n + 1):
@@ -256,35 +273,75 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
             if lo > max(0, i - j + 1) or hi < min(i, n - j + 1):
                 cons.append((j, lo, hi))
         row_cons.append(tuple(cons))
-    for word in itertools.permutations(range(1, n + 1)):
-        cnt = [0] * (n + 1)
-        ok = True
-        for i in range(n):
-            v = word[i]
-            for j in range(2, v + 1):
-                cnt[j] += 1
-            for j, lo, hi in row_cons[i]:
-                c = cnt[j]
-                if c < lo or c > hi:
-                    ok = False
+    full = (2 << n) - 2
+    leaf = n - 2
+    word = [0] * n
+    placed = [0] * n
+    cands = [0] * n
+    i, m = 0, 0
+    while True:
+        # the free values in row i's window; vhi = 0 empties it
+        vlo, vhi = 1, n
+        for j, lo, hi in row_cons[i]:
+            k = (m >> j).bit_count()
+            if k < lo:
+                if k + 1 < lo or k >= hi:
+                    vhi = 0
                     break
-            if not ok:
+                if j > vlo:
+                    vlo = j
+            elif k >= hi:
+                if k > hi:
+                    vhi = 0
+                    break
+                if j <= vhi:
+                    vhi = j - 1
+        c = ((2 << vhi) - 1) >> vlo << vlo & ~m
+        if i == leaf:
+            while c:
+                low = c & -c
+                c ^= low
+                word[i] = low.bit_length() - 1
+                word[i + 1] = (full ^ m ^ low).bit_length() - 1
+                yield tuple(word)
+        else:
+            placed[i], cands[i] = m, c
+            i += 1
+        # place the next candidate of the deepest row that has one
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            c = cands[i]
+            if c:
                 break
-        if ok:
-            yield word
+        low = c & -c
+        cands[i] = c ^ low
+        word[i] = low.bit_length() - 1
+        m = placed[i] | low
+        i += 1
 
 
 def bruhat_leq(p: Permutation, r: Permutation) -> bool:
-    """Bruhat order: p <= r iff every rank count of p is at most that of r."""
+    """Bruhat order: p <= r iff every rank count of p is at most that of r.
+
+    The rank rows are built one row at a time, as d[j] = #{a <= i : r(a) >= j}
+    - #{a <= i : p(a) >= j}, and the answer is False at the first row where
+    some d[j] goes negative.  Row i differs from row i - 1 only for j between
+    p(i) and r(i), and can go negative only when p(i) > r(i).
+    """
     if p.size != r.size:
         raise ValueError("permutations must have the same size")
-    n = p.size
-    pt, rt = _rank_table(p.word), _rank_table(r.word)
-    for i in range(1, n + 1):
-        pi, ri = pt[i], rt[i]
-        for j in range(2, n + 1):
-            if pi[j] > ri[j]:
-                return False
+    d = [0] * (p.size + 1)
+    for a, b in zip(p.word, r.word):
+        if a > b:
+            for j in range(b + 1, a + 1):
+                d[j] -= 1
+                if d[j] < 0:
+                    return False
+        else:
+            for j in range(a + 1, b + 1):
+                d[j] += 1
     return True
 
 
@@ -296,7 +353,7 @@ def bruhat_interval(u: Permutation, w: Permutation) -> set[Permutation]:
 
 
 def poincare_brute(u: Permutation, w: Permutation) -> LaurentPoly:
-    """Sum of q^length over the Bruhat interval [u, w], by exhaustive filter."""
+    """Sum of q^length over the Bruhat interval [u, w], by enumerating it."""
     if u.size != w.size:
         raise ValueError("permutations must have the same size")
     counts = Counter(_inversions(word) for word in _interval_words(u.word, w.word))

@@ -210,6 +210,15 @@ def test_dp_matches_brute_force_on_all_reps():
                 assert count_lower_interval_dp(rep) == _brute_lower_count(rep.w), rep
 
 
+def test_dp_matches_brute_force_on_every_rep_of_size_8():
+    """The counting recurrence against the brute-force interval on all 254
+    coset representatives with n = 8 (about 1 s on a 2-core VM)."""
+    reps = [rep for k in range(1, 8) for rep in coset_reps_A(8, k)]
+    assert len(reps) == 254
+    for rep in reps:
+        assert count_lower_interval_dp(rep) == _brute_lower_count(rep.w), rep
+
+
 def test_dp_first_run_rows_follow_stirling_identity():
     # on the rows of the first increasing run of the top representative the
     # table entries factor as (n-a-b+1)! S(n-a+1, n-a-b+1)
@@ -251,6 +260,14 @@ def test_theoremA_matches_brute_force():
             assert theoremA_poincare(n, k) == poincare_brute(
                 Permutation.identity(n), w
             )
+
+
+def test_theoremA_matches_brute_force_at_9():
+    """Closed form against the brute-force interval for n = 9 and every k
+    (about 1 s on a 2-core VM)."""
+    for k in range(1, 9):
+        w = max_coset_rep_A(9, k).w
+        assert theoremA_poincare(9, k) == poincare_brute(Permutation.identity(9), w), k
 
 
 def test_theoremA_matches_the_rook_route_beyond_brute_force():
