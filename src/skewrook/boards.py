@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .permutations import Permutation
@@ -282,18 +282,9 @@ def right_hull(p: Permutation) -> Board:
     max of the values at or above i.
     """
     w = p.word
-    n = len(w)
-    lo = [0] * n
-    hi = [0] * n
-    m = n + 1
-    for i in range(n - 1, -1, -1):
-        m = min(m, w[i])
-        lo[i] = m
-    m = 0
-    for i in range(n):
-        m = max(m, w[i])
-        hi[i] = m
-    return Board(tuple(_interval_mask(lo[i], hi[i]) for i in range(n)), n)
+    lo = list(accumulate(reversed(w), min))[::-1]
+    hi = accumulate(w, max)
+    return Board(tuple(_interval_mask(a, b) for a, b in zip(lo, hi)), len(w))
 
 
 def left_hull(p: Permutation) -> Board:

@@ -37,7 +37,7 @@ from .intervals import (
 )
 from .permutations import Permutation, bruhat_interval, poincare_brute
 from .qalgebra import LaurentPoly, poly_bernoulli, q_stirling
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 __all__ = [
     "main",
@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the self-verification sweeps")
-    p.add_argument("--suite", choices=("all", "stirling", "rook", "intervals", "typeB"), default="all")
+    p.add_argument("--suite", choices=("all", *SUITES), default="all")
     p.add_argument("--max-n", type=int, dest="max_n")
     p.set_defaults(func=cmd_verify)
 

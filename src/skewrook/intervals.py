@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
@@ -325,9 +326,4 @@ def poincare_B_brute(n: int) -> LaurentPoly:
     """Oracle: sum of q^rank_B over the symmetric permutations below
     max_coset_rep_B(n) in the Bruhat order of the ambient symmetric group."""
     w = max_coset_rep_B(n).p
-    coeffs: dict[int, int] = {}
-    for s in symmetric_permutations(n):
-        if bruhat_leq(s.p, w):
-            e = rank_B(s)
-            coeffs[e] = coeffs.get(e, 0) + 1
-    return LaurentPoly(coeffs)
+    return LaurentPoly(Counter(rank_B(s) for s in symmetric_permutations(n) if bruhat_leq(s.p, w)))

@@ -261,6 +261,8 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
     it and the candidates not yet tried, as bitmasks over 1..n.
     """
     n = len(u)
+    if len(w) != n:
+        raise ValueError("permutations must have the same size")
     if n < 2:  # S_0 and S_1 have one word, in every interval
         yield u
         return
@@ -347,27 +349,15 @@ def bruhat_leq(p: Permutation, r: Permutation) -> bool:
 
 def bruhat_interval(u: Permutation, w: Permutation) -> set[Permutation]:
     """The set {v : u <= v <= w}; empty when u and w are incomparable."""
-    if u.size != w.size:
-        raise ValueError("permutations must have the same size")
     return {Permutation(word) for word in _interval_words(u.word, w.word)}
 
 
 def poincare_brute(u: Permutation, w: Permutation) -> LaurentPoly:
     """Sum of q^length over the Bruhat interval [u, w], by enumerating it."""
-    if u.size != w.size:
-        raise ValueError("permutations must have the same size")
-    counts = Counter(_inversions(word) for word in _interval_words(u.word, w.word))
-    return LaurentPoly(counts)
+    return LaurentPoly(Counter(_inversions(v) for v in _interval_words(u.word, w.word)))
 
 
 def eulerian_gf(u: Permutation, w: Permutation) -> BiPoly:
     """Sum of t^descents q^length over the Bruhat interval [u, w]."""
-    if u.size != w.size:
-        raise ValueError("permutations must have the same size")
-    counts: Counter[tuple[int, int]] = Counter()
-    for word in _interval_words(u.word, w.word):
-        counts[_descents(word), _inversions(word)] += 1
-    acc: dict[int, dict[int, int]] = {}
-    for (d, l), c in counts.items():
-        acc.setdefault(d, {})[l] = c
-    return BiPoly({d: LaurentPoly(m) for d, m in acc.items()})
+    counts = Counter((_descents(v), _inversions(v)) for v in _interval_words(u.word, w.word))
+    return BiPoly((d, LaurentPoly.monomial(l, c)) for (d, l), c in counts.items())

@@ -273,6 +273,42 @@ def test_brute_refusal_exits_2_from_the_command_line():
     assert "limited to n <= 6, got n = 7" in r.stderr
 
 
+# every input error the CLI raises itself, and the one verify's run_suite
+# adds, with the exact stderr line each prints
+INPUT_ERRORS = [
+    (["poincare", "--type", "A", "--n", "11", "--k", "5", "--method", "brute"],
+     "--method brute is limited to n <= 10, got n = 11"),
+    (["poincare", "--u", "12", "--w", "21", "--method", "formula"],
+     "method 'formula' is not valid for a permutation pair"),
+    (["poincare", "--type", "A", "--n", "4"], "--type A requires --n and --k"),
+    (["poincare", "--type", "B"], "--type B requires --n"),
+    (["poincare", "--type", "B", "--n", "2", "--k", "1"], "--type B does not take --k"),
+    (["poincare", "--u", "12"], "--u and --w must be given together"),
+    (["poincare", "--u", "12", "--w", "21", "--n", "5"],
+     "--type, --n and --k cannot be combined with --u/--w"),
+    (["poincare"], "give either --type A/B or a --u/--w pair"),
+    (["count", "--word", "231"], "--word requires --k"),
+    (["count", "--n", "7", "--word", "231", "--k", "2"], "--n cannot be combined with --word"),
+    (["count", "--k", "2"], "give --n and --k, or --word and --k"),
+    (["qstirling", "--n", "-1"], "need n >= 0"),
+    (["polybernoulli", "--n", "2", "--k", "-1"], "need n, k >= 0"),
+    (["table", "--kind", "qstirling", "--max-n", "-1"], "need --max-n >= 0"),
+    (["table", "--kind", "theorem8", "--max-n", "1"], "theorem8 table needs --max-n >= 2"),
+    (["table", "--kind", "qstirling", "--max-n", "3", "--max-k", "2"],
+     "--max-k applies to --kind polybernoulli only"),
+    (["table", "--kind", "polybernoulli", "--max-n", "2", "--max-k", "-1"],
+     "need --max-k >= 0"),
+    (["verify", "--max-n", "0"], "max_n must be at least 1, got 0"),
+]
+
+
+def test_input_errors_print_one_line_and_exit_2(capsys):
+    for argv, message in INPUT_ERRORS:
+        assert cli.main(argv) == cli.EXIT_INPUT == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n"), argv
+
+
 def test_qstirling_row():
     r = run_cli("qstirling", "--n", "3")
     assert r.returncode == 0

@@ -21,7 +21,7 @@ from skewrook.boards import (
     zeros,
 )
 from skewrook.permutations import Permutation
-from skewrook.qalgebra import ONE, BiPoly, LaurentPoly, q_factorial
+from skewrook.qalgebra import ONE, ZERO, BiPoly, LaurentPoly, q_factorial, q_falling
 from skewrook.rooks import (
     _q_rook_table,
     full_placement_q_poly,
@@ -131,6 +131,34 @@ def test_wide_board_dp_matches_enumeration():
         assert rook_number(b, k) == sum(1 for _ in enumerate_rook_configs(b, k))
         assert q_rook_number(b, k) == q_rook_number_brute(b, k)
     assert [rook_number(b, k) for k in range(4)] == [1, 10, 30, 27]
+
+
+def _q_binomials(top):
+    """Rows 0..top of [n choose k]_q, by the q-Pascal rule
+    [n choose k] = [n-1 choose k-1] + q^k [n-1 choose k]."""
+    rows = [[ONE]]
+    for n in range(1, top + 1):
+        prev = rows[-1] + [ZERO]
+        step = [prev[k - 1] + LaurentPoly.monomial(k) * prev[k] for k in range(1, n + 1)]
+        rows.append([ONE] + step)
+    return rows
+
+
+def test_full_rectangles_match_the_product_formula():
+    """q_rook_number(ones(m, n), k) = q^((m-k)(n-k)) [m]_q...[m-k+1]_q [n choose k]_q
+    for all m, n <= 8 and for 10 x 10 (about 1 s on a 2-core VM).  Full
+    boards carry the largest coefficients of their shape, 4,716,824 at
+    10 x 10, far past what enumeration reaches, so this pins the table's
+    output at scale."""
+    binom = _q_binomials(10)
+    shapes = [(m, n) for m in range(9) for n in range(9)] + [(10, 10)]
+    for m, n in shapes:
+        board = ones(m, n)
+        for k in range(min(m, n) + 1):
+            want = LaurentPoly.monomial((m - k) * (n - k)) * q_falling(m, k) * binom[n][k]
+            assert q_rook_number(board, k) == want, (m, n, k)
+    top = max(c for k in range(11) for _, c in q_rook_number(ones(10, 10), k).items())
+    assert top == 4_716_824
 
 
 def test_board_at_max_width():
