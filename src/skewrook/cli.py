@@ -11,7 +11,8 @@ Structured output goes to stdout, diagnostics to stderr.  Exit codes: 0 on
 success, 2 on input errors (any ValueError, from the arguments or from the
 library's own checks), 3 on pattern-violation errors, 1 when a verification
 sweep fails, 4 on an internal error (an unexpected exception, reported as
-one line on stderr).  Polynomials are serialized as
+one line on stderr), and 141, quietly, when the reader closes stdout early
+(as under `head`).  Polynomials are serialized as
 {"min_exp": e, "coeffs": ["c_e", ...]} with decimal-string coefficients.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -56,6 +58,7 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_PATTERN = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, what `seq` and `yes` report under `head`
 
 # --method brute searches the prefixes of S_n for the type-A and pair routes
 # and scans the signed permutations of B_n for type B.  The limits keep a run
@@ -308,6 +311,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

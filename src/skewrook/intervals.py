@@ -75,9 +75,11 @@ def _require_avoiding(p: Permutation, role: str) -> None:
 
 def hull_interval_elements(p: Permutation) -> set[Permutation]:
     """The lower interval [id, p], read off as full placements of the right
-    hull of p.  Only valid for pattern-avoiding p; raises otherwise."""
+    hull of p.  Only valid for pattern-avoiding p; raises otherwise, after
+    the hull has refused a word wider than a board."""
+    hull = right_hull(p)
     _require_avoiding(p, "pi")
-    return max_configs(right_hull(p))
+    return max_configs(hull)
 
 
 def poincare_via_rook(u: Permutation, w: Permutation) -> LaurentPoly:
@@ -85,13 +87,14 @@ def poincare_via_rook(u: Permutation, w: Permutation) -> LaurentPoly:
     of the intersection of the right hull of w with the left hull of u.
 
     Requires that w and the upside-down flip of u avoid the four patterns;
-    the raised error names the offending side.
+    the raised error names the offending side.  The hulls are built first,
+    so a word wider than a board is refused before either pattern scan.
     """
     if u.size != w.size:
         raise ValueError("u and w must have the same size")
+    board = right_hull(w).intersect(left_hull(u))
     _require_avoiding(w, "w")
     _require_avoiding(u.flip_ud(), "flip_ud(u)")
-    board = right_hull(w).intersect(left_hull(u))
     return q_rook_number(board, w.size)
 
 
@@ -311,15 +314,10 @@ def poincare_B_via_rook(n: int) -> LaurentPoly:
     has an odd combined exponent, which would become a half-integer power
     of q."""
     rb = rb_polynomial(right_hull(max_coset_rep_B(n).p))
-    total: dict[int, int] = {}
-    for t_exp, coeff in rb.items():
-        for q_exp, c in coeff.items():
-            combined = q_exp + t_exp
-            if combined % 2:
-                raise RuntimeError("odd combined exponent in the signed route")
-            e = combined // 2
-            total[e] = total.get(e, 0) + c
-    return LaurentPoly(total)
+    terms = [(q_exp + t_exp, c) for t_exp, coeff in rb.items() for q_exp, c in coeff.items()]
+    if any(e % 2 for e, _ in terms):
+        raise RuntimeError("odd combined exponent in the signed route")
+    return LaurentPoly((e // 2, c) for e, c in terms)
 
 
 def poincare_B_brute(n: int) -> LaurentPoly:

@@ -252,13 +252,16 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
     prefix that breaks a row has no completion in the interval, and a word
     whose every prefix keeps its row is in it.  Per row only the constraints
     (j, lo, hi) that can bind are kept.  Placing v adds 1 to the count k of
-    placed values >= j exactly when v >= j: if only k + 1 lies in [lo, hi]
-    the row forces v >= j, if only k does it forces v < j, and if neither
-    does the prefix is dead.  So each row admits one window [vlo, vhi] of
-    values, and trying its free values in increasing order keeps the
-    lexicographic order.  Row n holds for every word, so the last letter is
-    the one value left.  The stack holds, per row, the values placed above
-    it and the candidates not yet tried, as bitmasks over 1..n.
+    placed values >= j exactly when v >= j.  The bounds lo and hi never
+    fall and rise by at most one per row, and each earlier row was kept, so
+    lo <= k + 1 and k <= hi at every node: k < lo forces v >= j, k = hi
+    forces v < j, and a prefix dies only where both hold, where lo > hi: u
+    is not below w there.
+    So each row admits one window [vlo, vhi] of values, and trying its free
+    values in increasing order keeps the lexicographic order.  Row n holds
+    for every word, so the last letter is the one value left.  The stack
+    holds, per row, the values placed above it and the candidates not yet
+    tried, as bitmasks over 1..n.
     """
     n = len(u)
     if len(w) != n:
@@ -287,15 +290,12 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
         for j, lo, hi in row_cons[i]:
             k = (m >> j).bit_count()
             if k < lo:
-                if k + 1 < lo or k >= hi:
+                if k >= hi:
                     vhi = 0
                     break
                 if j > vlo:
                     vlo = j
             elif k >= hi:
-                if k > hi:
-                    vhi = 0
-                    break
                 if j <= vhi:
                     vhi = j - 1
         c = ((2 << vhi) - 1) >> vlo << vlo & ~m

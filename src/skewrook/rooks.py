@@ -401,10 +401,8 @@ def sharp_rb(a: Board) -> BiPoly:
     n = a.height
     if a.width != n:
         raise ValueError("need a square board")
-    terms: dict[int, LaurentPoly] = {}
-    for i in range(n + 1):
-        coeff = q_rook_number(a, n - i).stretch(2) * q_factorial(i).stretch(2)
-        coeff = coeff * LaurentPoly.monomial(-i * i)
-        if not coeff.is_zero:
-            terms[i] = coeff
-    return BiPoly(terms)
+    return BiPoly(
+        (i, q_rook_number(a, n - i).stretch(2) * q_factorial(i).stretch(2)
+         * LaurentPoly.monomial(-i * i))
+        for i in range(n + 1)
+    )

@@ -16,6 +16,9 @@ from skewrook.permutations import Permutation
 from skewrook.qalgebra import LaurentPoly
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+)
 
 AZTEC_4 = "\n".join(
     [
@@ -32,12 +35,8 @@ AZTEC_4 = "\n".join(
 
 
 def run_cli(*args):
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "skewrook", *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-m", "skewrook", *args], capture_output=True, text=True, env=ENV
     )
 
 
@@ -177,6 +176,31 @@ def test_pattern_violation_in_40_letter_word():
     vals = [w(i) for i in positions]
     assert [sorted(vals).index(v) + 1 for v in vals] == [4, 2, 3, 1]
     assert positions == [5, 6, 7, 33]  # the first occurrence in position order
+
+
+def test_oversize_pair_is_refused_for_its_size():
+    # the board width check fires before the pattern scan that would name 4231
+    u = Permutation.identity(65)
+    w = Permutation((4, 2, 3, 1) + u.word[4:])
+    r = run_cli("poincare", "--u", u.to_text(), "--w", w.to_text())
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: board width must be in 0..64\n"
+
+
+def test_closed_pipe_exits_141_quietly():
+    # the table runs to megabytes, far past a pipe buffer, so the reader
+    # closes the pipe while the command is still printing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewrook", "table", "--kind", "qstirling", "--max-n", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=ENV,
+    )
+    proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):

@@ -14,7 +14,13 @@ from skewrook.boards import (
     triangular,
     zeros,
 )
-from skewrook.intervals import coset_reps_A, symmetric_permutations
+from skewrook.intervals import (
+    aztec_interval_size,
+    coset_reps_A,
+    hull_interval_elements,
+    poincare_via_rook,
+    symmetric_permutations,
+)
 from skewrook.permutations import Permutation, bruhat_interval, eulerian_gf, poincare_brute
 from skewrook.qalgebra import (
     LaurentPoly,
@@ -29,6 +35,8 @@ from skewrook.rooks import full_placement_q_poly, sharp_rb
 ID2, ID3 = Permutation.identity(2), Permutation.identity(3)
 SQUARE = ones(2, 2)
 TALL = zeros(MAX_WIDTH + 1, 1)
+WIDE = Permutation.identity(MAX_WIDTH + 1)
+TOO_WIDE = f"board width must be in 0..{MAX_WIDTH}"
 
 REFUSALS = [
     (full_placement_q_poly, (ones(2, 3),), ValueError, "need a square board"),
@@ -45,8 +53,10 @@ REFUSALS = [
     (eulerian_gf, (ID2, ID3), ValueError, "must have the same size"),
     (SQUARE.cell, (3, 1), ValueError, "cell (3, 1) out of range"),
     (SQUARE.cell, (1, 0), ValueError, "cell (1, 0) out of range"),
-    (TALL.transpose, (), ValueError, f"board width must be in 0..{MAX_WIDTH}"),
-    (TALL.col_lengths, (), ValueError, f"board width must be in 0..{MAX_WIDTH}"),
+    (TALL.transpose, (), ValueError, TOO_WIDE),
+    (TALL.col_lengths, (), ValueError, TOO_WIDE),
+    (poincare_via_rook, (WIDE, WIDE), ValueError, TOO_WIDE),
+    (hull_interval_elements, (WIDE,), ValueError, TOO_WIDE),
     (Board.from_matrix, ([[1, 0], [1]],), ValueError, "ragged matrix"),
     (Board.from_matrix, ([[1, 2]],), ValueError, "must be 0 or 1, got 2"),
     (ones, (-1, 2), ValueError, "dimensions must be nonnegative"),
@@ -81,3 +91,17 @@ def test_public_refusal(fn, args, error, message):
         if inspect.isgenerator(out):
             next(out)  # a generator refuses when first consumed
     assert message in str(info.value)
+
+
+def test_size_gate_precedes_the_pattern_scan(monkeypatch):
+    def scan(self, pattern):
+        raise AssertionError("pattern scan ran before the board width check")
+
+    monkeypatch.setattr(Permutation, "_find_pattern", scan)
+    for fn, args in [
+        (poincare_via_rook, (WIDE, WIDE)),
+        (hull_interval_elements, (WIDE,)),
+        (aztec_interval_size, (MAX_WIDTH // 2 + 1,)),
+    ]:
+        with pytest.raises(ValueError, match=TOO_WIDE):
+            fn(*args)

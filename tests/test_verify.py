@@ -3,7 +3,9 @@
 import pytest
 
 from skewrook import cli, intervals, verify
-from skewrook.boards import ones
+from skewrook.boards import Board, ones, zeros
+from skewrook.intervals import CosetRepA, max_coset_rep_B
+from skewrook.permutations import Permutation
 from skewrook.qalgebra import ONE, Q, BiPoly, LaurentPoly
 from skewrook.verify import SUITES, bjorner_ekedahl_violation, run_suite
 
@@ -70,34 +72,86 @@ def _wrong_at(monkeypatch, name, point, wrong):
     monkeypatch.setattr(verify, name, patched)
 
 
+ID1, ID3 = Permutation.identity(1), Permutation.identity(3)
+P12, P21, P321 = Permutation((1, 2)), Permutation((2, 1)), Permutation((3, 2, 1))
+# the first seeded random board of the rook suite at scale 4; no other rook
+# check asks for the top q-rook number of its flip
+SEEDED = Board((14, 14, 6, 5), 4)
+
 # (suite, scale, route, arguments of the one wrong call, how it is wrong,
-#  the check that must fail, its witness)
+#  the check that must fail, its witness, and the other checks that the same
+#  wrong value must fail, each with its witness)
 FAILURES = [
     ("stirling", 3, "t_board_q_rook", (2, 1), lambda v: v + ONE,
-     "stirling.staircase", (2, 1)),
+     "stirling.staircase", (2, 1), {}),
     ("rook", 2, "gjw_product", (ones(2, 2), 2, 2), lambda v: v + 1,
-     "rook.factored-rook-poly", (ones(2, 2).to_text(), 2)),
+     "rook.factored-rook-poly", (ones(2, 2).to_text(), 2), {}),
     # shifted by q: wrong as a polynomial, the same at q = 1 and in shape,
     # so the counts and the rank inequality downstream still pass
     ("intervals", 5, "theoremA_poincare", (4, 2), lambda v: v * Q,
-     "intervals.closed-form-A", (4, 2)),
+     "intervals.closed-form-A", (4, 2), {}),
     ("typeB", 2, "sharp_rb", (ones(1, 1),), lambda v: BiPoly({}),
-     "typeB.block-composition", ones(1, 1).to_text()),
+     "typeB.block-composition", ones(1, 1).to_text(), {}),
+    ("stirling", 3, "q_factorial", (3,), lambda v: v + ONE,
+     "stirling.full-square", "n=3", {}),
+    ("stirling", 3, "stirling2", (3, 2), lambda v: v + 1,
+     "stirling.q-one", (3, 2), {}),
+    ("stirling", 3, "poly_bernoulli", (2, -1), lambda v: v + 1,
+     "stirling.poly-bernoulli-symmetry", (1, 2), {}),
+    ("rook", 2, "q_rook_number_brute", (ones(1, 1), 1), lambda v: v + ONE,
+     "rook.dp-vs-brute", ((1,), 1), {}),
+    ("rook", 2, "garsia_remmel_product", (ones(2, 2), 2, 2), lambda v: v + ONE,
+     "rook.factored-q-rook-poly", (ones(2, 2).to_text(), 2), {}),
+    ("rook", 2, "sharp_q_rook", (ones(1, 1), ones(1, 1)), lambda v: v + ONE,
+     "rook.block-composition", (ones(1, 1).to_text(), ones(1, 1).to_text()), {}),
+    ("rook", 4, "q_rook_number", (SEEDED.flip_ud(), 4), lambda v: v + ONE,
+     "rook.flip-inversion", SEEDED.to_text(), {}),
+    # 321 has two descents, so no coset check asks for its interval
+    ("intervals", 3, "bruhat_interval", (ID3, P321), lambda v: v - {ID3},
+     "intervals.hull-characterization", (3, 2, 1), {}),
+    ("intervals", 3, "poincare_brute", (P21, P21), lambda v: v * Q,
+     "intervals.poincare-via-rook", ((2, 1), (2, 1)), {}),
+    ("intervals", 3, "count_lower_interval_dp", (CosetRepA(3, 1, ID3),), lambda v: v + 1,
+     "intervals.dp-count", (3, 1, (1, 2, 3)), {}),
+    ("intervals", 3, "theorem8_counts", (3, 1), lambda v: (v[0] + 1, *v[1:]),
+     "intervals.three-counts", (3, 1, (5, 4, 4, 4, 4)), {}),
+    ("intervals", 3, "aztec_interval_size", (3,), lambda v: v + 1,
+     "intervals.aztec", 3, {}),
+    # a hull too large is no longer minimal, and its placements outgrow [id, 12]
+    ("intervals", 3, "right_hull", (P12,), lambda v: ones(2, 2),
+     "intervals.hull-minimality", ("minimal", (1, 2), "#.\n.#"),
+     {"intervals.hull-characterization": (1, 2)}),
+    # the empty board is no hull, so only the order-ideal check reads it
+    ("intervals", 3, "max_configs", (zeros(2, 2),), lambda v: {P21},
+     "intervals.order-ideal", (zeros(2, 2).to_text(), (2, 1), (1, 2)), {}),
+    ("intervals", 3, "bruhat_leq", (ID1, ID1), lambda v: not v,
+     "intervals.order-axioms", ("reflexive", (1,)), {}),
+    # the same value at q = 1, so the counts pass, but f_0 > f_1
+    ("intervals", 4, "theoremA_poincare", (4, 2), lambda v: v + 2 - 2 * Q,
+     "intervals.rank-inequality", ("3 + q + 5*q^2 + 4*q^3 + q^4", (0, 1)),
+     {"intervals.closed-form-A": (4, 2)}),
+    ("typeB", 2, "poincare_B_brute", (2,), lambda v: v * Q,
+     "typeB.closed-form", "n=2", {}),
+    ("typeB", 2, "poincare_B_via_rook", (2,), lambda v: v * Q,
+     "typeB.hull-route", ("value", 2), {}),
+    ("typeB", 2, "right_hull", (max_coset_rep_B(2).p,), lambda v: ones(4, 4),
+     "typeB.structure", ("hull", 2), {}),
 ]
 
 
-@pytest.mark.parametrize("suite, scale, route, point, wrong, check, witness", FAILURES)
+@pytest.mark.parametrize("suite, scale, route, point, wrong, check, witness, also", FAILURES)
 def test_wrong_route_fails_only_its_check(
-    monkeypatch, suite, scale, route, point, wrong, check, witness
+    monkeypatch, suite, scale, route, point, wrong, check, witness, also
 ):
     clean = {r.name: r for r in SUITES[suite](scale)}
     _wrong_at(monkeypatch, route, point, wrong)
     results = list(SUITES[suite](scale))
     assert [r.name for r in results] == list(clean)
-    failed = [r for r in results if not r.passed]
-    assert [r.name for r in failed] == [check]
-    assert failed[0].detail.endswith(f"; first failure {witness}")
-    assert failed[0].detail.startswith(clean[check].detail)
+    expected = {check: witness, **also}
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert failed.keys() == expected.keys()
+    for name, bad in expected.items():
+        assert failed[name] == f"{clean[name].detail}; first failure {bad}"
     assert all(r == clean[r.name] for r in results if r.passed)
 
 
