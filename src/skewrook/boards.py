@@ -1,10 +1,13 @@
 """Zero-one boards: Ferrers and skew Ferrers recognition, hulls of
 permutations, block compositions, and rook-configuration enumeration.
 
-One enumerator walks the rook placements of a board, row by row; the
-k-rook configurations (enumerate_rook_configs) and the full placements of
-a square board (max_configs) are both read from it, and so is every
-brute-force rook oracle in rooks.py.
+One enumerator walks the rook placements of a board, row by row, as an
+iterative depth-first search over column bitmasks; the k-rook
+configurations (enumerate_rook_configs) and the full placements of a
+square board (max_configs) are both read from it, and so is every
+brute-force rook oracle in rooks.py.  The verify sweeps read its words
+directly.  A recursive search that yields the same words in the same order
+is kept as its oracle in tests/test_boards.py.
 
 A board is an m x n matrix over {0, 1}, stored as one column bitmask per
 row (bit j-1 set means cell (i, j) is a one).  Rows and columns are
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations_with_replacement
+from operator import le
 from typing import Iterable, Iterator
 
 from .permutations import Permutation
@@ -332,28 +336,54 @@ def _rook_words(board: Board, k: int) -> Iterator[tuple[int, ...]]:
     a word giving the column of the rook in each row, or 0 for an empty row.
 
     Each row tries its free columns left to right and is left empty last,
-    and only while more rows remain than rooks still to place.
+    and only while more rows remain than rooks still to place.  The search
+    is an iterative depth-first search: the stack holds, per row, the
+    columns taken above it and the options not yet tried, as one bitmask in
+    which the bit just past the last column stands for the empty row, so
+    that the lowest option is always the next one in that order.  A row
+    with one rook left yields a word for each free column at once.
     """
     rows = board.rows
     m = len(rows)
+    if k > m:
+        return
+    if k == 0:
+        yield (0,) * m
+        return
+    empty = 1 << board.width
     word = [0] * m
-
-    def rec(i: int, used: int, left: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield tuple(word)
-            return
-        free = rows[i] & ~used
-        while free:
-            b = free & -free
-            free ^= b
-            word[i] = b.bit_length()
-            yield from rec(i + 1, used | b, left - 1)
-        word[i] = 0
+    taken = [0] * m
+    options = [0] * m
+    i, used = 0, 0
+    while True:
+        left = k - used.bit_count()
+        c = rows[i] & ~used
+        if left == 1:
+            while c:
+                low = c & -c
+                c ^= low
+                word[i] = low.bit_length()
+                yield tuple(word)
+            word[i] = 0
         if m - i > left:
-            yield from rec(i + 1, used, left)
-
-    if k <= m:
-        yield from rec(0, 0, k)
+            c |= empty
+        taken[i], options[i] = used, c
+        # take the next option of the deepest row that has one
+        while not options[i]:
+            word[i] = 0
+            i -= 1
+            if i < 0:
+                return
+        c = options[i]
+        low = c & -c
+        options[i] = c ^ low
+        used = taken[i]
+        if low == empty:
+            word[i] = 0
+        else:
+            word[i] = low.bit_length()
+            used |= low
+        i += 1
 
 
 def enumerate_rook_configs(board: Board, k: int) -> Iterator[RookConfig]:
@@ -368,7 +398,7 @@ def max_configs(board: Board) -> set[Permutation]:
     """The permutations whose full rook placement fits inside a square board."""
     if board.height != board.width:
         raise ValueError("full placements need a square board")
-    return {Permutation(word) for word in _rook_words(board, board.height)}
+    return {Permutation._trusted(word) for word in _rook_words(board, board.height)}
 
 
 # -- exhaustive skew Ferrers generation (shared by tests and verification) ----
@@ -394,7 +424,7 @@ def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board
     partitions = list(combinations_with_replacement(range(n, -1, -1), m))
     for lam in partitions:
         for mu in partitions:
-            if any(mu[i] > lam[i] for i in range(m)):
+            if not all(map(le, mu, lam)):
                 continue
             rows = tuple(
                 _interval_mask(n - lam[i] + 1, n - mu[i]) for i in range(m)

@@ -290,7 +290,7 @@ def symmetric_permutations(n: int) -> Iterator[SignedPermutation]:
                 val = size + 1 - v if flip else v
                 word[i] = val
                 word[size - 1 - i] = size + 1 - val
-            yield SignedPermutation(Permutation(tuple(word)))
+            yield SignedPermutation(Permutation._trusted(tuple(word)))
 
 
 def theoremB_poincare(n: int) -> LaurentPoly:

@@ -52,8 +52,19 @@ class Permutation:
     def __post_init__(self):
         w = tuple(self.word)
         object.__setattr__(self, "word", w)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in w):
+            raise ValueError(f"{w!r} has a letter that is not an int")
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"{w!r} is not a permutation of [{len(w)}]")
+
+    @classmethod
+    def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple that is a permutation by construction, without the
+        checks of __post_init__; only the enumerators and symmetries that
+        build their words from one call it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "word", word)
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -124,12 +135,12 @@ class Permutation:
 
     def flip_ud(self) -> "Permutation":
         """Reverse the positions: result(i) = word(n + 1 - i)."""
-        return Permutation(self.word[::-1])
+        return Permutation._trusted(self.word[::-1])
 
     def rotate180(self) -> "Permutation":
         """Reverse positions and complement values: result(i) = n+1-word(n+1-i)."""
         n = len(self.word)
-        return Permutation(tuple(n + 1 - v for v in self.word[::-1]))
+        return Permutation._trusted(tuple(n + 1 - v for v in self.word[::-1]))
 
     # -- patterns ---------------------------------------------------------------
 
@@ -218,10 +229,10 @@ FORBIDDEN_PATTERNS = (
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation(word)
+        yield Permutation._trusted(word)
 
 
-# -- word-level helpers (used by the sweeps, kept free of object overhead) ---
+# -- word-level helpers (for the sweeps and verify, free of object overhead) --
 
 
 def _inversions(word: tuple[int, ...]) -> int:
@@ -349,7 +360,7 @@ def bruhat_leq(p: Permutation, r: Permutation) -> bool:
 
 def bruhat_interval(u: Permutation, w: Permutation) -> set[Permutation]:
     """The set {v : u <= v <= w}; empty when u and w are incomparable."""
-    return {Permutation(word) for word in _interval_words(u.word, w.word)}
+    return {Permutation._trusted(word) for word in _interval_words(u.word, w.word)}
 
 
 def poincare_brute(u: Permutation, w: Permutation) -> LaurentPoly:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import abc
 from functools import cache
 from itertools import accumulate
 from operator import sub
@@ -59,7 +60,7 @@ class LaurentPoly:
 
     def __init__(self, coeffs: CoeffSource = ()):
         acc: dict[int, int] = {}
-        pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        pairs = coeffs.items() if isinstance(coeffs, abc.Mapping) else coeffs
         for e, c in pairs:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise TypeError(f"exponent must be int, got {e!r}")
@@ -295,7 +296,7 @@ class BiPoly:
 
     def __init__(self, coeffs: Mapping[int, "LaurentPoly | int"] | Iterable[tuple[int, "LaurentPoly | int"]] = ()):
         acc: dict[int, LaurentPoly] = {}
-        pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        pairs = coeffs.items() if isinstance(coeffs, abc.Mapping) else coeffs
         for e, p in pairs:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"t-exponent must be a nonnegative int, got {e!r}")

@@ -16,9 +16,9 @@ from typing import Callable, Iterator, Optional
 
 from .boards import (
     Board,
+    _rook_words,
     all_skew_ferrers_boards,
     block_sharp,
-    max_configs,
     ones,
     right_hull,
     triangular,
@@ -40,6 +40,7 @@ from .intervals import (
 )
 from .permutations import (
     Permutation,
+    _interval_words,
     all_permutations,
     bruhat_interval,
     bruhat_leq,
@@ -236,14 +237,13 @@ def _hull_failures(n: int) -> Iterator[tuple]:
 
 def _ideal_failures(b: Board) -> Iterator[tuple]:
     # undoing any inversion of a full placement must stay on the board
-    configs = max_configs(b)
-    for p in configs:
-        word = p.word
+    configs = set(_rook_words(b, b.height))
+    for word in configs:
         for i, j in combinations(range(len(word)), 2):
             if word[i] > word[j]:
                 swapped = list(word)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                if Permutation(tuple(swapped)) not in configs:
+                if tuple(swapped) not in configs:
                     yield (b.to_text(), word, (i + 1, j + 1))
 
 
@@ -274,7 +274,8 @@ def _suite_intervals(max_n: int) -> Iterator[CheckResult]:
     perms = [p for n in range(1, thm4_n + 1) for p in all_permutations(n)]
     bad = next((
         p.word for p in perms
-        if (max_configs(right_hull(p)) == bruhat_interval(Permutation.identity(p.size), p))
+        if (set(_rook_words(right_hull(p), p.size))
+            == set(_interval_words(tuple(range(1, p.size + 1)), p.word)))
         != p.avoids_forbidden()
     ), None)
     yield _result(

@@ -387,6 +387,14 @@ def test_verify_passes():
     assert r.stderr == ""
 
 
+def test_verify_at_documented_limits_matches_golden(capsys):
+    # every check's coverage count and detail string, as CI diffs them
+    golden = Path(__file__).with_name("verify_documented_limits.txt").read_text()
+    for suite, limit in (("stirling", 8), ("rook", 4), ("intervals", 7), ("typeB", 4)):
+        assert cli.main(["verify", "--suite", suite, "--max-n", str(limit)]) == 0
+    assert capsys.readouterr().out == golden
+
+
 def test_verify_clamps_with_warning():
     r = run_cli("verify", "--suite", "typeB", "--max-n", "9")
     assert r.returncode == 0

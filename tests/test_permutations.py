@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skewrook.boards import max_configs, ones, right_hull
+from skewrook.intervals import symmetric_permutations
 from skewrook.permutations import (
     FORBIDDEN_PATTERNS,
     Permutation,
@@ -39,6 +41,24 @@ def test_constructor_rejects_non_bijections():
         else:
             with pytest.raises(ValueError):
                 Permutation(bad)
+
+
+def test_trusted_construction_matches_checked():
+    # the enumerators and symmetries that skip __post_init__ build the same
+    # objects that a checked construction of their words would
+    made = [
+        *all_permutations(4),
+        *max_configs(ones(4, 4)),
+        *max_configs(right_hull(P("35142"))),
+        *bruhat_interval(P("1324"), P("4231")),
+        *(p.flip_ud() for p in all_permutations(4)),
+        *(p.rotate180() for p in all_permutations(4)),
+        *(s.p for s in symmetric_permutations(3)),
+    ]
+    for p in made:
+        checked = Permutation(p.word)
+        assert type(p.word) is tuple
+        assert p == checked and hash(p) == hash(checked), p.word
 
 
 def test_text_forms():

@@ -45,6 +45,8 @@ REFUSALS = [
     (coset_reps_A, (3, 3), ValueError, "need 1 <= k <= n-1"),
     (symmetric_permutations, (-1,), ValueError, "need n >= 0"),
     (Permutation.identity, (-1,), ValueError, "size must be nonnegative"),
+    (Permutation, ((2.0, 1.0),), ValueError, "has a letter that is not an int"),
+    (Permutation, ((True, 2),), ValueError, "has a letter that is not an int"),
     (Permutation.from_text, ("1234567890",), ValueError, "only covers n <= 9"),
     (ID2, (0,), ValueError, "position 0 out of range 1..2"),
     (Permutation.neg_statistic, (ID3,), ValueError, "needs an even size"),
