@@ -11,16 +11,23 @@ pruned prefix has no completion in the interval, and a complete word passed
 every row, so the search accepts exactly the words that a filter of all of
 S_n accepts, in the same order.
 
-Pattern containment guards every rook-route Poincare polynomial, so it too
-is a depth-first search, one that extends a partial occurrence only while it
-stays order-isomorphic to the pattern's prefix.  The plain scans these
-searches replace, the C(n, k) position sets and the filter of S_n by full
-rank tables, are kept as oracles in tests/test_permutations.py.
+Avoidance of 4231, 35142, 42513 and 351624 guards every rook-route Poincare
+polynomial.  It is decided without a search, by the criterion of Gasharov
+and Reiner (J. London Math. Soc. 66, 2002): with c(i) = n + 1 - w(i), w
+avoids the four patterns exactly when every box of Fulton's essential set
+of c (Duke Math. J. 65, 1992) carries one of two extreme rank values.  Only
+a word that fails it is searched for a witness, by a depth-first search
+that extends a partial occurrence only while it stays order-isomorphic to
+the pattern's prefix.  That search is the witness route and the criterion's
+oracle.  The plain scans the searches replace, the C(n, k) position sets
+and the filter of S_n by full rank tables, are kept as oracles in
+tests/test_permutations.py.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -187,7 +194,17 @@ class Permutation:
         return tuple(positions) if extend(0, 0) else None
 
     def find_forbidden(self) -> Optional[tuple["Permutation", tuple[int, ...]]]:
-        """First forbidden pattern occurrence, as (pattern, 1-indexed positions)."""
+        """First forbidden pattern occurrence, as (pattern, 1-indexed positions).
+
+        An avoider is answered at once by Gasharov and Reiner's rank
+        conditions on Fulton's essential set (_avoids_forbidden).  Only a
+        word that fails them runs the depth-first search of _find_pattern,
+        pattern by pattern, so the witness is the first occurrence of the
+        first pattern that occurs.  The search is the witness route and the
+        criterion's oracle.
+        """
+        if _avoids_forbidden(self.word):
+            return None
         for pat in FORBIDDEN_PATTERNS:
             hit = self._find_pattern(pat)
             if hit is not None:
@@ -197,8 +214,10 @@ class Permutation:
     def avoids_forbidden(self) -> bool:
         """True if the word avoids 4231, 35142, 42513 and 351624: exactly
         when the full placements of its right hull form the lower Bruhat
-        interval [id, w]."""
-        return self.find_forbidden() is None
+        interval [id, w].  Decided by Gasharov and Reiner's rank conditions
+        on Fulton's essential set alone (_avoids_forbidden); no occurrence
+        is searched for."""
+        return _avoids_forbidden(self.word)
 
 
 @lru_cache(maxsize=64)
@@ -242,6 +261,38 @@ def _inversions(word: tuple[int, ...]) -> int:
 
 def _descents(word: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
+
+
+def _avoids_forbidden(word: tuple[int, ...]) -> bool:
+    """True if the word avoids 4231, 35142, 42513 and 351624, by the
+    essential-set criterion of Gasharov and Reiner (J. London Math. Soc. 66,
+    2002) on Fulton's essential set (Duke Math. J. 65, 1992).
+
+    Let c(i) = n + 1 - w(i).  The diagram of c is the boxes (i, j) with
+    j < c(i) and i < c^-1(j); a box is essential when neither (i + 1, j) nor
+    (i, j + 1) is in it.  With r(i, j) = #{a <= i : c(a) <= j}, w avoids
+    the four patterns exactly when every essential box has r = 0 or
+    r = i + j - n.  Row i holds essential boxes only at a descent of c, at
+    c(i + 1) <= j < c(i), and there (i, j) is essential exactly when j is
+    not among c(1..i) and j + 1 is.  r is read from the sorted prefix
+    c(1..i) by bisect.  The pattern search of Permutation._find_pattern is
+    this test's oracle.
+    """
+    n = len(word)
+    c = [n + 1 - v for v in word]
+    pos = [0] * (n + 1)  # pos[v] = c^-1(v)
+    for i, v in enumerate(c, 1):
+        pos[v] = i
+    prefix: list[int] = []  # c(1..i), sorted
+    for i in range(1, n):
+        top, low = c[i - 1], c[i]
+        insort(prefix, top)
+        for j in range(low, top):
+            if pos[j] > i and pos[j + 1] <= i:
+                r = bisect_right(prefix, j)
+                if r and r != i + j - n:
+                    return False
+    return True
 
 
 def _rank_table(word: tuple[int, ...]) -> list[list[int]]:

@@ -34,9 +34,10 @@ AZTEC_4 = "\n".join(
 )
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "skewrook", *args], capture_output=True, text=True, env=ENV
+        [sys.executable, "-m", "skewrook", *args],
+        capture_output=True, text=True, env=ENV, timeout=timeout,
     )
 
 
@@ -158,6 +159,16 @@ def test_check_avoiders_of_60_letters():
     avoiding = '{"avoids":true,"violating_pattern":null,"positions":null}'
     for p in (Permutation.identity(60), max_coset_rep_A(60, 30).w):
         r = run_cli("check", p.to_text())
+        assert r.returncode == 0
+        assert r.stdout.strip() == avoiding
+
+
+def test_check_avoiders_of_1000_letters_in_bounded_time():
+    # the essential-set criterion answers an avoider without a search; the
+    # witness search alone takes over 10 s on each of these words
+    avoiding = '{"avoids":true,"violating_pattern":null,"positions":null}'
+    for p in (Permutation.identity(1000), max_coset_rep_A(1000, 500).w):
+        r = run_cli("check", p.to_text(), timeout=10)
         assert r.returncode == 0
         assert r.stdout.strip() == avoiding
 

@@ -1,20 +1,24 @@
 """Permutation statistics, Bruhat order and pattern containment against
 hand values and definition-level re-computations."""
 
+import contextlib
 import functools
 import itertools
 import operator
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skewrook import permutations
 from skewrook.boards import max_configs, ones, right_hull
-from skewrook.intervals import symmetric_permutations
+from skewrook.intervals import max_coset_rep_A, symmetric_permutations
 from skewrook.permutations import (
     FORBIDDEN_PATTERNS,
     Permutation,
+    _avoids_forbidden,
     _interval_words,
     all_permutations,
     bruhat_interval,
@@ -351,6 +355,9 @@ def test_find_pattern_matches_scan_on_planted_words(case):
     hit = p._find_pattern(pat)
     assert hit is not None and hit <= slots
     assert hit == scan_pattern(p.word, pat.word)
+    with search_only():
+        searched = p.find_forbidden()
+    assert searched is not None and p.find_forbidden() == searched
 
 
 def test_find_pattern_edge_cases():
@@ -385,6 +392,81 @@ def test_find_forbidden_witness_is_order_isomorphic(p):
     pattern, positions = hit
     assert list(positions) == sorted(positions)
     assert standardize([p(i) for i in positions]) == pattern.word
+
+
+@contextlib.contextmanager
+def search_only():
+    """Stub the essential-set criterion to reject every word, so that
+    find_forbidden runs its depth-first search alone: the criterion's
+    oracle."""
+    with mock.patch.object(permutations, "_avoids_forbidden", lambda word: False):
+        yield
+
+
+def searched_words(words):
+    """Each word with the search's answer, (pattern, positions) or None."""
+    with search_only():
+        return [(w, Permutation(w).find_forbidden()) for w in words]
+
+
+def test_criterion_matches_search_exhaustive():
+    # every word of S_0 .. S_8: 46,234 words, 14,716 of them avoiders
+    avoiders = 0
+    for n in range(9):
+        for w, hit in searched_words(itertools.permutations(range(1, n + 1))):
+            assert _avoids_forbidden(w) == (hit is None), w
+            avoiders += hit is None
+    assert avoiders == 14716
+
+
+def seeded_long_words(count, seed):
+    """count words of 10..30 letters: the odd ones uniform, the even ones
+    short walks of adjacent swaps from the identity, since a uniform long
+    word almost never avoids the four patterns."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(10, 30)
+        w = list(range(1, n + 1))
+        if t % 2:
+            rng.shuffle(w)
+        else:
+            for _ in range(rng.randint(1, n)):
+                i = rng.randrange(n - 1)
+                w[i], w[i + 1] = w[i + 1], w[i]
+        yield tuple(w)
+
+
+def test_criterion_matches_search_on_seeded_long_words():
+    avoiders = 0
+    for w, hit in searched_words(seeded_long_words(4000, 16)):
+        assert _avoids_forbidden(w) == (hit is None), w
+        avoiders += hit is None
+    assert avoiders > 1000  # the walks keep both answers well represented
+
+
+def test_criterion_on_patterns_and_tiny_words():
+    for pat in FORBIDDEN_PATTERNS:
+        assert not _avoids_forbidden(pat.word)
+        assert not pat.avoids_forbidden()
+        assert pat.find_forbidden() == (pat, tuple(range(1, pat.size + 1)))
+    for w in ((), (1,)):
+        assert _avoids_forbidden(w)
+        assert Permutation(w).avoids_forbidden() and Permutation(w).find_forbidden() is None
+
+
+@pytest.mark.parametrize("n", [10, 25, 40, 60])
+def test_criterion_on_coset_representatives(n):
+    reps = [max_coset_rep_A(n, k).w.word for k in (1, n // 3, n // 2, n - 1)]
+    for w, hit in searched_words(reps):
+        assert hit is None and _avoids_forbidden(w), w
+
+
+def test_find_forbidden_witness_matches_search():
+    # every containing word of S_0 .. S_7 gets the search's own witness
+    for n in range(8):
+        for w, hit in searched_words(itertools.permutations(range(1, n + 1))):
+            if hit is not None:
+                assert Permutation(w).find_forbidden() == hit, w
 
 
 def test_flip_and_rotate_frozen():

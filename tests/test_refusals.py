@@ -96,10 +96,14 @@ def test_public_refusal(fn, args, error, message):
 
 
 def test_size_gate_precedes_the_pattern_scan(monkeypatch):
-    def scan(self, pattern):
-        raise AssertionError("pattern scan ran before the board width check")
+    # WIDE avoids the four patterns, so the essential-set criterion would
+    # answer for it without reaching _find_pattern; every pattern check
+    # raises here
+    def scan(*args):
+        raise AssertionError("pattern check ran before the board width check")
 
-    monkeypatch.setattr(Permutation, "_find_pattern", scan)
+    for method in ("_find_pattern", "find_forbidden", "avoids_forbidden"):
+        monkeypatch.setattr(Permutation, method, scan)
     for fn, args in [
         (poincare_via_rook, (WIDE, WIDE)),
         (hull_interval_elements, (WIDE,)),
