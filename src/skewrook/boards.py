@@ -53,11 +53,11 @@ class Board:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        if not 0 <= self.width <= MAX_WIDTH:
+        if isinstance(self.width, bool) or not 0 <= self.width <= MAX_WIDTH:
             raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
         full = (1 << self.width) - 1
         for mask in self.rows:
-            if not isinstance(mask, int) or mask < 0 or mask & ~full:
+            if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask & ~full:
                 raise ValueError("row mask does not fit the declared width")
 
     @classmethod

@@ -158,8 +158,9 @@ def reduce_coset_rep(rep: CosetRepA) -> CosetRepA:
     return CosetRepA(cut, rep.k, Permutation(word))
 
 
-def _dp_table(rep: CosetRepA) -> list[list[int]]:
-    """The table f(a, b) behind count_lower_interval_dp, for a reduced rep.
+def _dp_rows(rep: CosetRepA) -> Iterator[list[int]]:
+    """The rows f(a, .) behind count_lower_interval_dp, for a reduced rep,
+    yielded for a = n down to 1; only the current row is held, O(k) integers.
 
     f is indexed by column a in 1..n and rook deficit b in 0..k, with
     f(n, b) a Kronecker delta and, going right to left,
@@ -167,29 +168,28 @@ def _dp_table(rep: CosetRepA) -> list[list[int]]:
     second addend only appears when a is a value of the first run and c_a
     is the column height of the enclosing shape.
     """
-    n, k = rep.n, rep.k
+    k = rep.k
     word = rep.w.word
     first_run = set(word[:k])
     tail = sorted(word[k:])
-    # column heights: k full rows plus the tail rows reaching column j
-    heights = [k + bisect_right(tail, j) for j in range(1, n + 1)]
-    f = [[0] * (k + 1) for _ in range(n + 1)]  # f[a][b], a in 1..n
-    f[n][0] = 1
-    for a in range(n - 1, 0, -1):
-        in_run = a in first_run
-        for b in range(k + 1):
-            acc = f[a + 1][b]
-            if in_run and b > 0:
-                acc += f[a + 1][b - 1]
-            f[a][b] = (heights[a - 1] - a - b + 1) * acc
-    return f[1:]
+    row = [1] + [0] * k
+    yield row
+    for a in range(rep.n - 1, 0, -1):
+        # c_a - a + 1, with c_a = k full rows plus the tail rows reaching a
+        top = k + bisect_right(tail, a) - a + 1
+        if a in first_run:
+            row = [x + y for x, y in zip(row, [0] + row)]
+        row = [(top - b) * x for b, x in enumerate(row)]
+        yield row
 
 
 def count_lower_interval_dp(rep: CosetRepA) -> int:
     """Number of elements below the representative in Bruhat order,
-    computed in polynomial time by the alternating-sum recurrence."""
-    table = _dp_table(reduce_coset_rep(rep))
-    return sum((-1) ** b * v for b, v in enumerate(table[0]))
+    computed in polynomial time by the alternating-sum recurrence, which
+    carries one row of O(k) integers."""
+    for row in _dp_rows(reduce_coset_rep(rep)):
+        pass
+    return sum((-1) ** b * v for b, v in enumerate(row))
 
 
 def theoremA_poincare(n: int, k: int) -> LaurentPoly:

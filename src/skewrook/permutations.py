@@ -295,25 +295,15 @@ def _avoids_forbidden(word: tuple[int, ...]) -> bool:
     return True
 
 
-def _rank_table(word: tuple[int, ...]) -> list[list[int]]:
-    """t[i][j] = #{a <= i : word(a) >= j} for 0 <= i <= n, 1 <= j <= n."""
-    n = len(word)
-    table = [[0] * (n + 1)]
-    for i in range(1, n + 1):
-        prev = table[-1]
-        v = word[i - 1]
-        table.append([prev[j] + (1 if v >= j else 0) for j in range(n + 1)])
-    return table
-
-
 def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Yield every word v of S_n with u <= v <= w, in itertools.permutations
     order, by a depth-first search over prefixes.
 
     Row i of the rank-count criterion reads only the first i letters, so a
     prefix that breaks a row has no completion in the interval, and a word
-    whose every prefix keeps its row is in it.  Per row only the constraints
-    (j, lo, hi) that can bind are kept.  Placing v adds 1 to the count k of
+    whose every prefix keeps its row is in it.  The rank rows of u and w are
+    built as the setup reaches them, each from the row before, and per row
+    only the constraints (j, lo, hi) that can bind are kept.  Placing v adds 1 to the count k of
     placed values >= j exactly when v >= j.  The bounds lo and hi never
     fall and rise by at most one per row, and each earlier row was kept, so
     lo <= k + 1 and k <= hi at every node: k < lo forces v >= j, k = hi
@@ -331,12 +321,15 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
     if n < 2:  # S_0 and S_1 have one word, in every interval
         yield u
         return
-    ut, wt = _rank_table(u), _rank_table(w)
+    # row i of #{a <= i : u(a) >= j} and of the same count for w
+    urow, wrow = [0] * (n + 1), [0] * (n + 1)
     row_cons: list[tuple[tuple[int, int, int], ...]] = []
-    for i in range(1, n + 1):
+    for i, (x, y) in enumerate(zip(u, w), 1):
         cons = []
         for j in range(2, n + 1):
-            lo, hi = ut[i][j], wt[i][j]
+            urow[j] += x >= j
+            wrow[j] += y >= j
+            lo, hi = urow[j], wrow[j]
             if lo > max(0, i - j + 1) or hi < min(i, n - j + 1):
                 cons.append((j, lo, hi))
         row_cons.append(tuple(cons))

@@ -2,7 +2,11 @@
 counting DP, and the closed forms for both group families."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,7 @@ from skewrook.intervals import (
     CosetRepA,
     PatternViolationError,
     SignedPermutation,
-    _dp_table,
+    _dp_rows,
     aztec_interval_size,
     coset_reps_A,
     count_lower_interval_dp,
@@ -39,6 +43,7 @@ from skewrook.permutations import (
 from skewrook.qalgebra import LaurentPoly, stirling2
 
 P = Permutation.from_text
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def poly(coeffs: dict[int, int]) -> LaurentPoly:
@@ -196,7 +201,7 @@ def _brute_lower_count(w: Permutation) -> int:
 
 
 def test_dp_trace_frozen():
-    table = _dp_table(CosetRepA(3, 2, P("231")))
+    table = list(_dp_rows(CosetRepA(3, 2, P("231"))))[::-1]
     assert table[2] == [1, 0, 0]
     assert table[1] == [2, 1, 0]
     assert table[0] == [6, 2, 0]
@@ -224,12 +229,28 @@ def test_dp_first_run_rows_follow_stirling_identity():
     # table entries factor as (n-a-b+1)! S(n-a+1, n-a-b+1)
     for n in range(2, 8):
         for k in range(1, n):
-            table = _dp_table(max_coset_rep_A(n, k))
+            table = list(_dp_rows(max_coset_rep_A(n, k)))[::-1]
             for a in range(n - k + 1, n + 1):
                 for b in range(k + 1):
                     m = n - a - b + 1
                     want = math.factorial(m) * stirling2(n - a + 1, m) if m >= 1 else 0
                     assert table[a - 1][b] == want, (n, k, a, b)
+
+
+def test_dp_holds_one_row():
+    # the whole table f(a, b) of max_coset_rep_A(600, 300) peaked near 46 MB
+    code = (
+        "import tracemalloc; from skewrook.intervals import count_lower_interval_dp, "
+        "max_coset_rep_A; from skewrook.qalgebra import poly_bernoulli; "
+        "tracemalloc.start(); c = count_lower_interval_dp(max_coset_rep_A(600, 300)); "
+        "print(tracemalloc.get_traced_memory()[1], c == poly_bernoulli(300, -300))"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    peak, same = r.stdout.split()
+    assert same == "True"
+    assert int(peak) < 5 * 2**20, f"peak {int(peak) / 2**20:.1f} MB"
 
 
 # -- closed forms, symmetric group ------------------------------------------------

@@ -59,6 +59,8 @@ REFUSALS = [
     (TALL.col_lengths, (), ValueError, TOO_WIDE),
     (poincare_via_rook, (WIDE, WIDE), ValueError, TOO_WIDE),
     (hull_interval_elements, (WIDE,), ValueError, TOO_WIDE),
+    (Board, ((True, 1), 1), ValueError, "row mask does not fit the declared width"),
+    (Board, ((1,), True), ValueError, TOO_WIDE),
     (Board.from_matrix, ([[1, 0], [1]],), ValueError, "ragged matrix"),
     (Board.from_matrix, ([[1, 2]],), ValueError, "must be 0 or 1, got 2"),
     (ones, (-1, 2), ValueError, "dimensions must be nonnegative"),
