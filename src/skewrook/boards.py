@@ -53,7 +53,7 @@ class Board:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        if isinstance(self.width, bool) or not 0 <= self.width <= MAX_WIDTH:
+        if type(self.width) is not int or not 0 <= self.width <= MAX_WIDTH:
             raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
         full = (1 << self.width) - 1
         for mask in self.rows:

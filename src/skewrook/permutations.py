@@ -5,11 +5,11 @@ The Bruhat machinery here is the project's oracle, so it tests nothing but
 the rank-count criterion: u <= v iff #{a <= i : u(a) >= j} is at most the
 same count of v for every i and j.  Row i of those counts reads only the
 first i letters of a word.  So comparison builds the rows one at a time and
-stops at the first failing row, and interval enumeration is a depth-first
-search over prefixes that extends a prefix only while its row holds.  A
-pruned prefix has no completion in the interval, and a complete word passed
-every row, so the search accepts exactly the words that a filter of all of
-S_n accepts, in the same order.
+stops at the first failing row.  Interval enumeration builds the rows of both
+ends first and stops there for an incomparable pair; otherwise a depth-first
+search extends a prefix only while its row holds.  A pruned prefix has no
+completion in the interval, and a complete word passed every row, so the
+search accepts exactly the words a filter of S_n accepts, in order.
 
 Avoidance of 4231, 35142, 42513 and 351624 guards every rook-route Poincare
 polynomial.  It is decided without a search, by the criterion of Gasharov
@@ -301,17 +301,17 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
 
     Row i of the rank-count criterion reads only the first i letters, so a
     prefix that breaks a row has no completion in the interval, and a word
-    whose every prefix keeps its row is in it.  The rank rows of u and w are
-    built as the setup reaches them, each from the row before, and per row
-    only the constraints (j, lo, hi) that can bind are kept.  Placing v adds 1 to the count k of
-    placed values >= j exactly when v >= j.  The bounds lo and hi never
-    fall and rise by at most one per row, and each earlier row was kept, so
-    lo <= k + 1 and k <= hi at every node: k < lo forces v >= j, k = hi
-    forces v < j, and a prefix dies only where both hold, where lo > hi: u
-    is not below w there.
-    So each row admits one window [vlo, vhi] of values, and trying its free
-    values in increasing order keeps the lexicographic order.  Row n holds
-    for every word, so the last letter is the one value left.  The stack
+    whose every prefix keeps its row is in it.  The setup builds the rank
+    rows of u and w, each from the row before, keeps per row only the
+    constraints (j, lo, hi) that can bind, and returns at the first lo > hi:
+    u is not below w there.  Placing v adds 1 to the count k of placed values
+    >= j exactly when v >= j.  The bounds never fall and rise by at most one
+    per row, and each earlier row was kept, so lo <= k + 1 and k <= hi at
+    every node: k < lo forces v >= j, k = hi forces v < j, and as lo <= hi
+    never both.  So each row admits one window [vlo, vhi] of values, and
+    trying its free values in increasing order keeps the lexicographic order.
+    A window can still hold no free value; the search then backs up.  Row n
+    holds for every word, so the last letter is the one value left.  The stack
     holds, per row, the values placed above it and the candidates not yet
     tried, as bitmasks over 1..n.
     """
@@ -331,6 +331,8 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
             wrow[j] += y >= j
             lo, hi = urow[j], wrow[j]
             if lo > max(0, i - j + 1) or hi < min(i, n - j + 1):
+                if lo > hi:  # u is not below w
+                    return
                 cons.append((j, lo, hi))
         row_cons.append(tuple(cons))
     full = (2 << n) - 2
@@ -340,14 +342,11 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
     cands = [0] * n
     i, m = 0, 0
     while True:
-        # the free values in row i's window; vhi = 0 empties it
+        # the free values in row i's window
         vlo, vhi = 1, n
         for j, lo, hi in row_cons[i]:
             k = (m >> j).bit_count()
             if k < lo:
-                if k >= hi:
-                    vhi = 0
-                    break
                 if j > vlo:
                     vlo = j
             elif k >= hi:

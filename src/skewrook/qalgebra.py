@@ -166,7 +166,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative int")
         out = ONE
         base = self
@@ -201,7 +201,7 @@ class LaurentPoly:
 
     def stretch(self, m: int) -> "LaurentPoly":
         """The image under q -> q^m for m >= 1 (exponent scaling)."""
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError("stretch factor must be a positive int")
         return _wrap({m * e: c for e, c in self._coeffs.items()})
 

@@ -5,7 +5,11 @@ import contextlib
 import functools
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -29,6 +33,7 @@ from skewrook.permutations import (
 from skewrook.qalgebra import BiPoly, LaurentPoly
 
 P = Permutation.from_text
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 Q = LaurentPoly.monomial(1)
 
 
@@ -259,6 +264,36 @@ def test_interval_words_match_plain_filter_on_random_pairs():
             w = tuple(rng.sample(range(1, n + 1), n))
             u = tuple(range(1, n + 1)) if t % 2 else tuple(rng.sample(range(1, n + 1), n))
             assert list(_interval_words(u, w)) == filter_interval(u, w, tables), (u, w)
+
+
+@pytest.mark.parametrize("n", [14, 40])
+def test_incomparable_pair_is_answered_before_the_search(n):
+    # u = 1 .. n-2, n, n-1 is not below w = n-1 .. 1, n; a search that walked
+    # every prefix down to the failing row took 11 s at n = 11, so the calls
+    # run in a child that the timeout kills, and each reports its own time
+    code = (
+        "import time\n"
+        "from skewrook.permutations import *\n"
+        f"n = {n}\n"
+        "u = Permutation(tuple(range(1, n - 1)) + (n, n - 1))\n"
+        "w = Permutation(tuple(range(n - 1, 0, -1)) + (n,))\n"
+        "for f in (bruhat_interval, poincare_brute, eulerian_gf):\n"
+        "    t = time.perf_counter()\n"
+        "    empty = not f(u, w)\n"
+        "    print(f.__name__, empty, time.perf_counter() - t)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert r.returncode == 0, r.stderr
+    rows = [line.split() for line in r.stdout.splitlines()]
+    assert [row[:2] for row in rows] == [
+        ["bruhat_interval", "True"],
+        ["poincare_brute", "True"],
+        ["eulerian_gf", "True"],
+    ]
+    assert all(float(row[2]) < 1.0 for row in rows), rows
 
 
 def test_interval_monotone_under_extension():

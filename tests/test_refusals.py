@@ -23,6 +23,7 @@ from skewrook.intervals import (
 )
 from skewrook.permutations import Permutation, bruhat_interval, eulerian_gf, poincare_brute
 from skewrook.qalgebra import (
+    Q,
     LaurentPoly,
     poly_bernoulli,
     q_factorial,
@@ -61,6 +62,7 @@ REFUSALS = [
     (hull_interval_elements, (WIDE,), ValueError, TOO_WIDE),
     (Board, ((True, 1), 1), ValueError, "row mask does not fit the declared width"),
     (Board, ((1,), True), ValueError, TOO_WIDE),
+    (Board, ((), 2.0), ValueError, TOO_WIDE),
     (Board.from_matrix, ([[1, 0], [1]],), ValueError, "ragged matrix"),
     (Board.from_matrix, ([[1, 2]],), ValueError, "must be 0 or 1, got 2"),
     (ones, (-1, 2), ValueError, "dimensions must be nonnegative"),
@@ -78,6 +80,8 @@ REFUSALS = [
     (poly_bernoulli, (2, 1.5), ValueError, "integer upper index"),
     (LaurentPoly, ({1.5: 1},), TypeError, "exponent must be int, got 1.5"),
     (LaurentPoly, ({0: 1.5},), TypeError, "coefficient must be int, got 1.5"),
+    (Q.__pow__, (True,), ValueError, "exponent must be a nonnegative int"),
+    (Q.stretch, (True,), ValueError, "stretch factor must be a positive int"),
 ]
 
 
