@@ -5,8 +5,9 @@ One enumerator walks the rook placements of a board, row by row, as an
 iterative depth-first search over column bitmasks; the k-rook
 configurations (enumerate_rook_configs) and the full placements of a
 square board (max_configs) are both read from it, and so is every
-brute-force rook oracle in rooks.py.  The verify sweeps read its words
-directly.  A recursive search that yields the same words in the same order
+brute-force rook oracle in rooks.py.  Its words (_rook_words) are read
+directly, with no RookConfig built, by the oracle rooks.q_rook_number_brute
+and by verify's hull-characterization and order-ideal checks.  A recursive search that yields the same words in the same order
 is kept as its oracle in tests/test_boards.py.
 
 A board is an m x n matrix over {0, 1}, stored as one column bitmask per

@@ -37,7 +37,7 @@ from .intervals import (
     theoremB_poincare,
     theorem8_counts,
 )
-from .permutations import Permutation, bruhat_interval, poincare_brute
+from .permutations import Permutation, _interval_words, poincare_brute
 from .qalgebra import LaurentPoly, poly_bernoulli, q_stirling
 from .verify import SUITES, run_suite
 
@@ -62,8 +62,8 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, what `seq` and `yes` report under `head`
 
 # --method brute searches the prefixes of S_n for the type-A and pair routes
 # and scans the signed permutations of B_n for type B.  The limits keep a run
-# under about 3 s on a 2-core VM (count --n 10 --k 5: 2.5 s; --type B --n 6:
-# 0.9 s).
+# under 1.5 s on a 2-core VM (count --n 10 --k 5: 0.7 s; poincare --type A
+# --n 10 --k 5: 1.3 s; --type B --n 6: 0.6 s).
 _BRUTE_MAX_N = 10
 _BRUTE_MAX_N_B = 6
 
@@ -175,7 +175,7 @@ def cmd_count(args) -> int:
         rep = max_coset_rep_A(args.n, args.k)
     if args.method == "brute":
         _check_brute_size(rep.n, _BRUTE_MAX_N)
-        count = len(bruhat_interval(Permutation.identity(rep.n), rep.w))
+        count = sum(1 for _ in _interval_words(Permutation.identity(rep.n).word, rep.w.word))
     else:
         count = count_lower_interval_dp(rep)
     print(count)

@@ -255,8 +255,13 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 
 def _inversions(word: tuple[int, ...]) -> int:
-    n = len(word)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
+    """Pairs i < j with word(i) > word(j), for distinct positive letters: each
+    letter counts the larger letters before it in a bitmask of those seen."""
+    seen = total = 0
+    for v in word:
+        total += (seen >> v).bit_count()
+        seen |= 1 << v
+    return total
 
 
 def _descents(word: tuple[int, ...]) -> int:

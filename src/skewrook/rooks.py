@@ -12,7 +12,10 @@ Three computation routes are kept side by side on purpose, and the test
 suite plays them against each other:
 
 * the enumeration oracle, q_rook_number_brute, which sums q^inv over every
-  placement;
+  placement.  It reads the placement words of boards._rook_words directly
+  and scores each word bottom-up with a bitmask of the columns holding a
+  rook below (_word_inv); inv_stat stays the public definition, and the
+  tests hold _word_inv to it;
 * the bottom-up table, _q_rook_table, a column-mask DP that yields every
   q-rook number of a board at once and is cached per board.  Rook numbers
   are this table at q = 1;
@@ -57,14 +60,13 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from .boards import Board, RookConfig, covers, enumerate_rook_configs, max_configs
+from .boards import Board, RookConfig, _rook_words, covers, max_configs
 from .qalgebra import (
     ONE,
     ZERO,
     BiPoly,
     LaurentPoly,
     q_factorial,
-    q_falling,
     q_int,
     q_stirling,
     _unpack,
@@ -110,9 +112,26 @@ def inv_stat(board: Board, config: RookConfig) -> int:
     return total
 
 
+def _word_inv(word: tuple[int, ...], width: int) -> int:
+    """inv_stat of the placement whose rook in row i sits in column word[i],
+    0 for an empty row, read one row at a time from the bottom: a row with
+    its rook in column c (or none, c = 0) scores the columns right of c that
+    hold no rook below it, counted off a bitmask of those columns."""
+    below = total = 0
+    for c in reversed(word):
+        total += width - c - (below >> c).bit_count()
+        if c:
+            below |= 1 << (c - 1)
+    return total
+
+
 def q_rook_number_brute(board: Board, k: int) -> LaurentPoly:
-    """Sum of q^inv over all k-rook placements, by direct enumeration."""
-    return LaurentPoly(Counter(inv_stat(board, c) for c in enumerate_rook_configs(board, k)))
+    """Sum of q^inv over all k-rook placements, by direct enumeration of the
+    placement words of _rook_words."""
+    if k < 0:
+        raise ValueError("rook count must be nonnegative")
+    n = board.width
+    return LaurentPoly(Counter(_word_inv(word, n) for word in _rook_words(board, k)))
 
 
 @lru_cache(maxsize=4096)
@@ -260,10 +279,15 @@ def q_rook_poly(board: Board, n: int, x: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("polynomial index must be nonnegative")
     total = ZERO
+    falling = ONE  # [x][x-1]...[x-k+1], one factor more at each k
     for k in range(n + 1):
+        if k:
+            falling = falling * q_int(x - k + 1)
+            if falling.is_zero:
+                break
         r = q_rook_number(board, n - k)
         if not r.is_zero:
-            total = total + r * q_falling(x, k)
+            total = total + r * falling
     return total
 
 

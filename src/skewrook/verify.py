@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, starmap, zip_longest
 from math import factorial
+from operator import and_, eq
 from typing import Callable, Iterator, Optional
 
 from .boards import (
@@ -105,11 +106,13 @@ def _result(name: str, bad: object, detail: str) -> CheckResult:
 
 
 def _ferrers_boards(side: int, align: str) -> Iterator[Board]:
+    # a left-aligned board is the mirror image of a right-aligned one, and
+    # all_skew_ferrers_boards lists the left boards in that order
     for m in range(1, side + 1):
         for n in range(1, side + 1):
-            for b in all_skew_ferrers_boards(m, n, align):
-                if b.is_ferrers(align):
-                    yield b
+            for b in all_skew_ferrers_boards(m, n, "right"):
+                if b.is_ferrers("right"):
+                    yield b if align == "right" else b.mirror_lr()
 
 
 def _boards(m: int, n: int) -> Iterator[Board]:
@@ -220,63 +223,73 @@ def _suite_rook(side: int) -> Iterator[CheckResult]:
 
 def _hull_failures(n: int) -> Iterator[tuple]:
     # the right hull must be a right-aligned skew shape covering p, inside
-    # every other such shape
+    # every other such shape; p covers row i of a board when the row mask
+    # holds the bit of p(i)
     skews = all_skew_ferrers_boards(n, n, "right")
     for p in all_permutations(n):
         h = right_hull(p)
-        cells = tuple(enumerate(p.word, 1))
-        if not h.is_skew_ferrers("right") or not all(h.cell(i, j) for i, j in cells):
+        bits = [1 << (v - 1) for v in p.word]
+        if not h.is_skew_ferrers("right") or not all(map(and_, h.rows, bits)):
             yield ("shape", p.word)
             continue
         for b in skews:
-            if all(b.cell(i, j) for i, j in cells) and not all(
-                b.cell(i, j) for i, j in h.one_cells()
+            if all(map(and_, b.rows, bits)) and any(
+                hm & ~bm for hm, bm in zip(h.rows, b.rows)
             ):
                 yield ("minimal", p.word, b.to_text())
 
 
 def _ideal_failures(b: Board) -> Iterator[tuple]:
-    # undoing any inversion of a full placement must stay on the board
-    configs = set(_rook_words(b, b.height))
-    for word in configs:
-        for i, j in combinations(range(len(word)), 2):
-            if word[i] > word[j]:
-                swapped = list(word)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                if tuple(swapped) not in configs:
+    # undoing any inversion of a full placement must stay on the board; the
+    # swap changes only rows i and j, so it stays a full placement exactly
+    # when both of its new cells are one-cells
+    rows = b.rows
+    for word in _rook_words(b, b.height):
+        for i, x in enumerate(word):
+            for j in range(i + 1, len(word)):
+                y = word[j]
+                if x > y and not (rows[i] >> (y - 1) & rows[j] >> (x - 1) & 1):
                     yield (b.to_text(), word, (i + 1, j + 1))
 
 
 def _order_failures(n: int) -> Iterator[tuple]:
     perms = list(all_permutations(n))
-    index = {p: i for i, p in enumerate(perms)}
+    index = {p.word: i for i, p in enumerate(perms)}
+    # flip[i] is the index of p_i.flip_ud()
+    flip = [index[p.word[::-1]] for p in perms]
     # cone[i] holds the upper cone {r : p_i <= r} as a bitmask
     cone = [0] * len(perms)
     for i, p in enumerate(perms):
-        for r in perms:
-            if bruhat_leq(p, r):
-                cone[i] |= 1 << index[r]
-    for i, p in enumerate(perms):
-        if not cone[i] >> i & 1:
-            yield ("reflexive", p.word)
         for j, r in enumerate(perms):
-            leq = bool(cone[i] >> j & 1)
+            if bruhat_leq(p, r):
+                cone[i] |= 1 << j
+    for i, p in enumerate(perms):
+        up = cone[i]
+        if not up >> i & 1:
+            yield ("reflexive", p.word)
+        fi = flip[i]
+        for j, r in enumerate(perms):
+            leq = up >> j & 1
             if i != j and leq and cone[j] >> i & 1:
                 yield ("antisymmetric", p.word, r.word)
-            if leq and (cone[j] | cone[i]) != cone[i]:
+            if leq and cone[j] & ~up:
                 yield ("transitive", p.word, r.word)
-            if leq != bruhat_leq(r.flip_ud(), p.flip_ud()):
+            # flip(r) <= flip(p) must hold exactly when p <= r
+            if leq != cone[flip[j]] >> fi & 1:
                 yield ("antiautomorphism", p.word, r.word)
 
 
 def _suite_intervals(max_n: int) -> Iterator[CheckResult]:
     thm4_n = min(max_n, 6)
     perms = [p for n in range(1, thm4_n + 1) for p in all_permutations(n)]
+    # both enumerations are lexicographic, so they yield the same set exactly
+    # when they agree word by word; the comparison stops at the first miss
     bad = next((
         p.word for p in perms
-        if (set(_rook_words(right_hull(p), p.size))
-            == set(_interval_words(tuple(range(1, p.size + 1)), p.word)))
-        != p.avoids_forbidden()
+        if all(starmap(eq, zip_longest(
+            _rook_words(right_hull(p), p.size),
+            _interval_words(tuple(range(1, p.size + 1)), p.word),
+        ))) != p.avoids_forbidden()
     ), None)
     yield _result(
         "intervals.hull-characterization", bad,
@@ -318,7 +331,8 @@ def _suite_intervals(max_n: int) -> Iterator[CheckResult]:
     reps = [rep for n in range(2, dp_n + 1) for k in range(1, n) for rep in coset_reps_A(n, k)]
     bad = next((
         (rep.n, rep.k, rep.w.word) for rep in reps
-        if count_lower_interval_dp(rep) != len(bruhat_interval(Permutation.identity(rep.n), rep.w))
+        if count_lower_interval_dp(rep)
+        != sum(1 for _ in _interval_words(Permutation.identity(rep.n).word, rep.w.word))
     ), None)
     yield _result(
         "intervals.dp-count", bad,

@@ -264,7 +264,7 @@ def _stub_brute_oracles(monkeypatch):
 
     record("poincare_brute", LaurentPoly.monomial(0))
     record("poincare_B_brute", LaurentPoly.monomial(0))
-    record("bruhat_interval", set())
+    record("_interval_words", ())
     return calls
 
 
@@ -275,8 +275,8 @@ def _spaced(n):
 # (arguments, the brute oracle they reach) at the largest n each brute method
 # accepts; one more is refused
 BRUTE_AT_LIMIT = [
-    (["count", "--n", "{n}", "--k", "5"], 10, "bruhat_interval"),
-    (["count", "--word", "{word}", "--k", "1"], 10, "bruhat_interval"),
+    (["count", "--n", "{n}", "--k", "5"], 10, "_interval_words"),
+    (["count", "--word", "{word}", "--k", "1"], 10, "_interval_words"),
     (["poincare", "--type", "A", "--n", "{n}", "--k", "5"], 10, "poincare_brute"),
     (["poincare", "--u", "{word}", "--w", "{word}"], 10, "poincare_brute"),
     (["poincare", "--type", "B", "--n", "{n}"], 6, "poincare_B_brute"),

@@ -13,6 +13,7 @@ from skewrook.boards import (
     MAX_WIDTH,
     Board,
     RookConfig,
+    _rook_words,
     block_sharp,
     enumerate_rook_configs,
     ones,
@@ -24,6 +25,7 @@ from skewrook.permutations import Permutation
 from skewrook.qalgebra import ONE, ZERO, BiPoly, LaurentPoly, q_factorial, q_falling
 from skewrook.rooks import (
     _q_rook_table,
+    _word_inv,
     full_placement_q_poly,
     garsia_remmel_product,
     gjw_product,
@@ -73,6 +75,33 @@ def test_inv_stat_staircase_frozen():
 def test_inv_stat_requires_coverage():
     with pytest.raises(ValueError):
         inv_stat(T2, RookConfig.of((2, 2)))
+
+
+def _assert_word_inv_is_inv_stat(b):
+    """The oracle's word-level inv equals inv_stat on every placement of b."""
+    for k in range(min(b.dims) + 1):
+        for word in _rook_words(b, k):
+            config = RookConfig(frozenset((i, j) for i, j in enumerate(word, 1) if j))
+            assert _word_inv(word, b.width) == inv_stat(b, config), (b.rows, b.width, word)
+
+
+def test_word_inv_matches_inv_stat_within_3x3():
+    for m, n in itertools.product(range(1, 4), repeat=2):
+        for code in range(1 << (m * n)):
+            rows = tuple((code >> (n * i)) & ((1 << n) - 1) for i in range(m))
+            _assert_word_inv_is_inv_stat(Board(rows, n))
+
+
+def test_word_inv_matches_inv_stat_on_seeded_boards():
+    rng = random.Random(19)
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        _assert_word_inv_is_inv_stat(Board(tuple(rng.randrange(1 << n) for _ in range(m)), n))
+
+
+def test_brute_refuses_negative_rook_count():
+    with pytest.raises(ValueError, match="^rook count must be nonnegative$"):
+        q_rook_number_brute(T2, -1)
 
 
 @given(boards(max_side=4))
