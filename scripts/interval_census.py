@@ -27,7 +27,7 @@ def check(n: int, k: int, what: str, got, want) -> None:
         sys.exit(f"mismatch at n = {n}, k = {k}: {what} gave {got}, expected {want}")
 
 
-def run(max_n: int, with_brute: bool, show_polynomials: bool) -> None:
+def run(max_n: int, with_brute: bool) -> None:
     header = ["n", "k", "representative", "count", "recurrence"]
     if with_brute:
         header.append("brute")
@@ -39,23 +39,22 @@ def run(max_n: int, with_brute: bool, show_polynomials: bool) -> None:
             check(n, k, "the alternating sum", alt, sym)
             dp = count_lower_interval_dp(rep)
             check(n, k, "the recurrence", dp, sym)
+            poly = theoremA_poincare(n, k)
             row = [str(n), str(k), rep.w.to_text(), str(sym), str(dp)]
             if with_brute:
                 brute = poincare_brute(Permutation.identity(n), rep.w)
-                check(n, k, "enumeration", brute, theoremA_poincare(n, k))
+                check(n, k, "enumeration", brute, poly)
                 row.append(str(brute.evaluate_at_one()))
             print("\t".join(row))
-            if show_polynomials:
-                print(f"\t\tpoincare: {theoremA_poincare(n, k)}")
+            print(f"\t\tpoincare: {poly}")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=8, dest="max_n")
     parser.add_argument("--with-brute", action="store_true", dest="with_brute")
-    parser.add_argument("--no-polynomials", action="store_true")
     args = parser.parse_args()
-    run(args.max_n, args.with_brute, not args.no_polynomials)
+    run(args.max_n, args.with_brute)
 
 
 if __name__ == "__main__":

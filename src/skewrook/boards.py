@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations_with_replacement
-from operator import le
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .permutations import Permutation
@@ -85,19 +84,11 @@ class Board:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty board text")
-        width = len(lines[0])
-        rows = []
-        for ln in lines:
-            if len(ln) != width:
-                raise ValueError("ragged board text")
-            mask = 0
-            for j, ch in enumerate(ln):
-                if ch == "#":
-                    mask |= 1 << j
-                elif ch != ".":
-                    raise ValueError(f"bad board character {ch!r}")
-            rows.append(mask)
-        return cls(tuple(rows), width)
+        bits = {"#": 1, ".": 0}
+        for ch in "".join(lines):
+            if ch not in bits:
+                raise ValueError(f"bad board character {ch!r}")
+        return cls.from_matrix(map(bits.get, ln) for ln in lines)
 
     def to_text(self) -> str:
         return "\n".join(
@@ -409,29 +400,31 @@ def max_configs(board: Board) -> set[Permutation]:
 def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board, ...]:
     """Every m x n skew Ferrers board, built from the definition.
 
-    Enumerates all nested pairs of Ferrers shapes in the m x n box and takes
-    their differences, deduplicated.  Deliberately definitional; it is the
+    Walks the nested pairs of Ferrers shapes in the m x n box row by row,
+    depth first on an explicit stack: row i takes lambda_i <= lambda_(i-1)
+    and mu_i <= min(mu_(i-1), lambda_i), and the board keeps the cells of
+    lambda not in mu.  Distinct differences are returned sorted by their
+    rows.  Deliberately definitional; it is the
     oracle against which the interval-based recogniser is checked.
     """
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise ValueError("dimensions must be nonnegative ints")
     if align == "left":
         return tuple(
             b.mirror_lr() for b in all_skew_ferrers_boards(m, n, "right")
         )
     if align != "right":
         raise ValueError("align must be 'left' or 'right'")
-    seen: set[tuple[int, ...]] = set()
-    out: list[Board] = []
-    # the weakly decreasing m-tuples over 0..n, largest first
-    partitions = list(combinations_with_replacement(range(n, -1, -1), m))
-    for lam in partitions:
-        for mu in partitions:
-            if not all(map(le, mu, lam)):
-                continue
-            rows = tuple(
-                _interval_mask(n - lam[i] + 1, n - mu[i]) for i in range(m)
-            )
-            if rows not in seen:
-                seen.add(rows)
-                out.append(Board(rows, n))
-    out.sort(key=lambda b: b.rows)
-    return tuple(out)
+    shapes: set[tuple[int, ...]] = set()
+    stack = [((), n, n)]  # (rows so far, lambda and mu of the last row)
+    while stack:
+        rows, lam, mu = stack.pop()
+        if len(rows) == m:
+            shapes.add(rows)
+            continue
+        stack.extend(
+            (rows + (_interval_mask(n - lam_i + 1, n - mu_i),), lam_i, mu_i)
+            for lam_i in range(lam + 1)
+            for mu_i in range(min(mu, lam_i) + 1)
+        )
+    return tuple(Board(rows, n) for rows in sorted(shapes))

@@ -115,6 +115,8 @@ class CosetRepA:
     w: Permutation
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.k) is not int:
+            raise ValueError("n and k must be ints")
         if not 1 <= self.k <= self.n:
             raise ValueError("need 1 <= k <= n")
         if self.w.size != self.n:

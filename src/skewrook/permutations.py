@@ -201,7 +201,8 @@ class Permutation:
         word that fails them runs the depth-first search of _find_pattern,
         pattern by pattern, so the witness is the first occurrence of the
         first pattern that occurs.  The search is the witness route and the
-        criterion's oracle.
+        criterion's oracle; if it finds no occurrence where the criterion
+        said there is one, the two disagree and RuntimeError is raised.
         """
         if _avoids_forbidden(self.word):
             return None
@@ -209,7 +210,9 @@ class Permutation:
             hit = self._find_pattern(pat)
             if hit is not None:
                 return pat, hit
-        return None
+        raise RuntimeError(
+            f"the essential-set criterion rejects {self.to_text()} but no forbidden pattern occurs"
+        )
 
     def avoids_forbidden(self) -> bool:
         """True if the word avoids 4231, 35142, 42513 and 351624: exactly

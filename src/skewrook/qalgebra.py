@@ -37,7 +37,8 @@ __all__ = [
     "poly_bernoulli",
 ]
 
-_DECIMAL_RE = re.compile(r"-?\d+")
+# exactly the strings str(int) writes: ASCII digits, no leading zero, no "-0"
+_DECIMAL_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 CoeffSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 

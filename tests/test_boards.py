@@ -1,5 +1,6 @@
 """Boards: recognition, symmetry, composition, hulls and rook enumeration."""
 
+import hashlib
 import itertools
 import random
 
@@ -66,11 +67,14 @@ def test_parse_round_trips(b):
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad board character 'x'"):
         Board.parse("#x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ragged matrix"):
         Board.parse("##\n#")
-    with pytest.raises(ValueError):
+    # every character is checked before the rows' lengths are compared
+    with pytest.raises(ValueError, match="bad board character 'x'"):
+        Board.parse("##\n#x.")
+    with pytest.raises(ValueError, match="empty board text"):
         Board.parse("")
 
 
@@ -396,3 +400,35 @@ def test_all_skew_ferrers_boards_is_deduped_and_sorted():
     assert list(got) == sorted(got, key=lambda b: b.rows)
     for b in got:
         assert b.is_skew_ferrers("right")
+
+
+# counts for 1 <= m, n <= 5, and digests of repr([b.rows for b in boards]),
+# taken from the earlier generator that filtered every pair of partitions
+SKEW_COUNTS = [
+    [2, 4, 7, 11, 16],
+    [4, 13, 33, 71, 136],
+    [7, 33, 114, 321, 781],
+    [11, 71, 321, 1146, 3449],
+    [16, 136, 781, 3449, 12578],
+]
+SKEW_DIGESTS = {
+    (5, 5): (12578, "62b68b84e693239ece16aea6f305c7c033514c3902e630fc849994c0542cb218"),
+    (4, 6): (9115, "58c6bc4174eed3ac8d89a1cb60f0201541f4cc4892f84adfc499567895d06ea1"),
+}
+
+
+def test_all_skew_ferrers_boards_frozen_beyond_the_exhaustive_check():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            assert len(all_skew_ferrers_boards(m, n, "right")) == SKEW_COUNTS[m - 1][n - 1]
+    for (m, n), (count, digest) in SKEW_DIGESTS.items():
+        got = all_skew_ferrers_boards(m, n, "right")
+        assert len(got) == count
+        assert hashlib.sha256(repr([b.rows for b in got]).encode()).hexdigest() == digest
+
+
+def test_all_skew_ferrers_boards_edge_shapes():
+    assert all_skew_ferrers_boards(0, 3) == (Board((), 3),)
+    assert all_skew_ferrers_boards(2, 0) == (Board((0, 0), 0),)
+    # one row per level of the walk, with no recursion limit
+    assert all_skew_ferrers_boards(2000, 0) == (Board((0,) * 2000, 0),)

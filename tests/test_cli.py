@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from skewrook import cli
+from skewrook import cli, permutations
 from skewrook.intervals import max_coset_rep_A
 from skewrook.permutations import Permutation
 from skewrook.qalgebra import LaurentPoly
@@ -223,6 +223,14 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_criterion_and_search_disagreeing_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(permutations, "_avoids_forbidden", lambda word: False)
+    assert cli.main(["check", "687594123"]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: the essential-set criterion rejects 687594123")
 
 
 def test_bad_permutation_exits_2():

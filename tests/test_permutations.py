@@ -439,9 +439,28 @@ def search_only():
 
 
 def searched_words(words):
-    """Each word with the search's answer, (pattern, positions) or None."""
-    with search_only():
-        return [(w, Permutation(w).find_forbidden()) for w in words]
+    """Each word with the search's answer, (pattern, positions) or None: the
+    first occurrence of the first forbidden pattern that occurs, as
+    find_forbidden reports it once the criterion has rejected the word."""
+
+    def search(p):
+        for pat in FORBIDDEN_PATTERNS:
+            hit = p._find_pattern(pat)
+            if hit is not None:
+                return pat, hit
+        return None
+
+    return [(w, search(Permutation(w))) for w in words]
+
+
+def test_find_forbidden_raises_when_criterion_and_search_disagree(monkeypatch):
+    # an avoider that the criterion wrongly rejects: the search finds no
+    # occurrence, and that is an internal error, not an "avoids" answer
+    monkeypatch.setattr(permutations, "_avoids_forbidden", lambda word: False)
+    with pytest.raises(RuntimeError, match="no forbidden pattern occurs"):
+        P("687594123").find_forbidden()
+    with pytest.raises(RuntimeError):
+        Permutation(()).find_forbidden()
 
 
 def test_criterion_matches_search_exhaustive():

@@ -124,6 +124,11 @@ def test_json_schema_frozen_forms():
         {"min_exp": 0, "coeffs": ["0", "1"]},
         {"min_exp": 0, "coeffs": ["1", "0"]},
         {"min_exp": 1, "coeffs": ["0"]},
+        # only the canonical decimal strings to_json_dict writes
+        {"min_exp": 0, "coeffs": ["\u0663"]},  # ARABIC-INDIC DIGIT THREE
+        {"min_exp": 0, "coeffs": ["01"]},
+        {"min_exp": 0, "coeffs": ["-0"]},
+        {"min_exp": 0, "coeffs": ["1", "-0", "1"]},
     ],
 )
 def test_json_rejects_malformed(obj):

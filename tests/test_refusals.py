@@ -15,6 +15,7 @@ from skewrook.boards import (
     zeros,
 )
 from skewrook.intervals import (
+    CosetRepA,
     aztec_interval_size,
     coset_reps_A,
     hull_interval_elements,
@@ -44,6 +45,9 @@ REFUSALS = [
     (sharp_rb, (ones(2, 3),), ValueError, "need a square board"),
     (coset_reps_A, (3, 0), ValueError, "need 1 <= k <= n-1"),
     (coset_reps_A, (3, 3), ValueError, "need 1 <= k <= n-1"),
+    (CosetRepA, (3, 1.0, ID3), ValueError, "n and k must be ints"),
+    (CosetRepA, (3, True, ID3), ValueError, "n and k must be ints"),
+    (CosetRepA, (3.0, 1, ID3), ValueError, "n and k must be ints"),
     (symmetric_permutations, (-1,), ValueError, "need n >= 0"),
     (Permutation.identity, (-1,), ValueError, "size must be nonnegative"),
     (Permutation, ((2.0, 1.0),), ValueError, "has a letter that is not an int"),
@@ -72,6 +76,9 @@ REFUSALS = [
     (enumerate_rook_configs, (SQUARE, -1), ValueError, "rook count must be nonnegative"),
     (SQUARE.is_skew_ferrers, ("up",), ValueError, "align must be 'left' or 'right'"),
     (all_skew_ferrers_boards, (2, 2, "up"), ValueError, "align must be 'left' or 'right'"),
+    (all_skew_ferrers_boards, (-1, 2), ValueError, "dimensions must be nonnegative ints"),
+    (all_skew_ferrers_boards, (2, -1), ValueError, "dimensions must be nonnegative ints"),
+    (all_skew_ferrers_boards, (2.5, 2), ValueError, "dimensions must be nonnegative ints"),
     (q_factorial, (-1,), ValueError, "nonnegative argument"),
     (q_falling, (3, -1), ValueError, "nonnegative length"),
     (q_stirling, (-1, 0), ValueError, "nonnegative row index"),
