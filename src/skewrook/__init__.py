@@ -7,10 +7,8 @@ module and the `skewrook verify` command).
 
 from .boards import (
     Board,
-    RookConfig,
     all_skew_ferrers_boards,
     block_sharp,
-    covers,
     enumerate_rook_configs,
     left_hull,
     max_configs,

@@ -1,14 +1,14 @@
 """Zero-one boards: Ferrers and skew Ferrers recognition, hulls of
-permutations, block compositions, and rook-configuration enumeration.
+permutations, block compositions, and rook-placement enumeration.
 
-One enumerator walks the rook placements of a board, row by row, as an
-iterative depth-first search over column bitmasks; the k-rook
-configurations (enumerate_rook_configs) and the full placements of a
-square board (max_configs) are both read from it, and so is every
-brute-force rook oracle in rooks.py.  Its words (_rook_words) are read
-directly, with no RookConfig built, by the oracle rooks.q_rook_number_brute
-and by verify's hull-characterization and order-ideal checks.  A recursive search that yields the same words in the same order
-is kept as its oracle in tests/test_boards.py.
+A rook placement is a word: entry i is the column of the rook in row i, or
+0 for an empty row.  One enumerator, enumerate_rook_configs, walks the
+k-rook placements of a board row by row, as an iterative depth-first
+search over column bitmasks.  The full placements of a square board
+(max_configs), every brute-force rook oracle in rooks.py, and verify's
+hull-characterization and order-ideal checks all read it.  A recursive
+search that yields the same words in the same order is kept as its oracle
+in tests/test_boards.py.
 
 A board is an m x n matrix over {0, 1}, stored as one column bitmask per
 row (bit j-1 set means cell (i, j) is a one).  Rows and columns are
@@ -19,7 +19,7 @@ row (bit j-1 set means cell (i, j) is a one).  Rows and columns are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -27,7 +27,6 @@ from .permutations import Permutation
 
 __all__ = [
     "Board",
-    "RookConfig",
     "MAX_WIDTH",
     "ones",
     "zeros",
@@ -35,7 +34,6 @@ __all__ = [
     "block_sharp",
     "right_hull",
     "left_hull",
-    "covers",
     "enumerate_rook_configs",
     "max_configs",
     "all_skew_ferrers_boards",
@@ -288,42 +286,10 @@ def left_hull(p: Permutation) -> Board:
     return right_hull(p.flip_ud()).flip_ud()
 
 
-# -- rook configurations -------------------------------------------------------
+# -- rook placements ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RookConfig:
-    """A set of cells, no two sharing a row or a column."""
-
-    cells: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(self.cells))
-        rows = [i for i, _ in self.cells]
-        cols = [j for _, j in self.cells]
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-            raise ValueError("rooks must occupy distinct rows and columns")
-
-    @classmethod
-    def of(cls, *cells: tuple[int, int]) -> "RookConfig":
-        return cls(frozenset(cells))
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(sorted(self.cells))
-
-
-def covers(board: Board, config: RookConfig) -> bool:
-    """True if every rook sits on a one-cell of the board."""
-    m, n = board.dims
-    return all(
-        1 <= i <= m and 1 <= j <= n and board.cell(i, j) for i, j in config.cells
-    )
-
-
-def _rook_words(board: Board, k: int) -> Iterator[tuple[int, ...]]:
+def enumerate_rook_configs(board: Board, k: int) -> Iterator[tuple[int, ...]]:
     """Every k-rook placement on the board's one-cells, each exactly once, as
     a word giving the column of the rook in each row, or 0 for an empty row.
 
@@ -335,6 +301,8 @@ def _rook_words(board: Board, k: int) -> Iterator[tuple[int, ...]]:
     that the lowest option is always the next one in that order.  A row
     with one rook left yields a word for each free column at once.
     """
+    if k < 0:
+        raise ValueError("rook count must be nonnegative")
     rows = board.rows
     m = len(rows)
     if k > m:
@@ -378,25 +346,18 @@ def _rook_words(board: Board, k: int) -> Iterator[tuple[int, ...]]:
         i += 1
 
 
-def enumerate_rook_configs(board: Board, k: int) -> Iterator[RookConfig]:
-    """All k-rook placements on the board's one-cells, each exactly once."""
-    if k < 0:
-        raise ValueError("rook count must be nonnegative")
-    for word in _rook_words(board, k):
-        yield RookConfig(frozenset((i, j) for i, j in enumerate(word, 1) if j))
-
-
 def max_configs(board: Board) -> set[Permutation]:
     """The permutations whose full rook placement fits inside a square board."""
     if board.height != board.width:
         raise ValueError("full placements need a square board")
-    return {Permutation._trusted(word) for word in _rook_words(board, board.height)}
+    words = enumerate_rook_configs(board, board.height)
+    return {Permutation._trusted(word) for word in words}
 
 
 # -- exhaustive skew Ferrers generation (shared by tests and verification) ----
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board, ...]:
     """Every m x n skew Ferrers board, built from the definition.
 
@@ -404,8 +365,8 @@ def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board
     depth first on an explicit stack: row i takes lambda_i <= lambda_(i-1)
     and mu_i <= min(mu_(i-1), lambda_i), and the board keeps the cells of
     lambda not in mu.  Distinct differences are returned sorted by their
-    rows.  Deliberately definitional; it is the
-    oracle against which the interval-based recogniser is checked.
+    rows.  Deliberately definitional; it is the oracle against which the
+    interval-based recogniser is checked.
     """
     if type(m) is not int or type(n) is not int or m < 0 or n < 0:
         raise ValueError("dimensions must be nonnegative ints")

@@ -7,9 +7,10 @@ plain Python ints and no floating point is ever involved.
 
 All value types are immutable, so they are safe to share between threads.
 The memoised families (q_factorial, q_stirling, stirling2) sit behind
-functools caches; racing calls can at worst duplicate a little work, they
-always return identical values.  q_factorial, q_stirling and stirling2 fill
-their tables under a lock.
+functools caches keyed by argument type, so a bool or float argument is
+refused whatever was cached before; racing calls can at worst duplicate a
+little work, they always return identical values.  q_factorial, q_stirling
+and stirling2 fill their tables under a lock.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections import abc
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 from threading import Lock
@@ -392,7 +393,7 @@ _Q_FACTORIAL_TOP: list = [0, [1]]
 _Q_FACTORIAL_LOCK = Lock()
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def q_factorial(i: int) -> LaurentPoly:
     """[i]!_q = [1]_q [2]_q ... [i]_q.
 
@@ -401,7 +402,7 @@ def q_factorial(i: int) -> LaurentPoly:
     coefficients.  Each factor [j]_q is a window sum of width j, taken as a
     difference of prefix sums in linear time.
     """
-    if i < 0:
+    if type(i) is not int or i < 0:
         raise ValueError("q_factorial needs a nonnegative argument")
     with _Q_FACTORIAL_LOCK:
         m, coeffs = _Q_FACTORIAL_TOP if i >= _Q_FACTORIAL_TOP[0] else (0, [1])
@@ -452,15 +453,17 @@ _STIRLING2_TABLE: list[list[int]] = [[1]]
 _STIRLING2_LOCK = Lock()
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def q_stirling(n: int, k: int) -> LaurentPoly:
     """q-Stirling number of the second kind S_{n,k}(q).
 
     Recurrence S_{n+1,k} = q^(k-1) S_{n,k-1} + [k]_q S_{n,k} with S_{0,0} = 1
     and S_{n,k} = 0 for every other (n, k) outside 1 <= k <= n.
     """
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("q_stirling needs a nonnegative row index")
+    if type(k) is not int:
+        raise ValueError("q_stirling needs an int column index")
     if not 1 <= k <= n:
         return ONE if n == k == 0 else ZERO
     return _triangle_entry(
@@ -473,7 +476,7 @@ def q_stirling(n: int, k: int) -> LaurentPoly:
     )
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def stirling2(n: int, k: int) -> int:
     """Classical Stirling number of the second kind (set partition count).
 
@@ -481,8 +484,10 @@ def stirling2(n: int, k: int) -> int:
     independently of q_stirling; the two are tied together by a test at
     q = 1.
     """
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("stirling2 needs a nonnegative row index")
+    if type(k) is not int:
+        raise ValueError("stirling2 needs an int column index")
     if not 1 <= k <= n:
         return int(n == k == 0)
     return _triangle_entry(

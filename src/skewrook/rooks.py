@@ -1,21 +1,23 @@
 """Rook statistics and polynomials on zero-one boards.
 
-The central statistic is inv: for a rook configuration on an m x n board,
-inv counts the matrix positions (one- and zero-entries alike) with no rook
-weakly to their right in the same row and no rook strictly below in the
-same column.  For a full placement on a square board this is the inversion
-number of the corresponding permutation, and the empty placement scores
-m*n.  Generating functions over k-rook placements are Laurent polynomials
-in q with nonnegative exponents.
+A rook placement is a word, as boards.enumerate_rook_configs yields it:
+entry i is the column of the rook in row i, or 0 for an empty row.  The
+central statistic is inv: for a placement on an m x n board, inv counts
+the matrix positions (one- and zero-entries alike) with no rook weakly to
+their right in the same row and no rook strictly below in the same column.
+For a full placement on a square board this is the inversion number of the
+corresponding permutation, and the empty placement scores m*n.  Generating
+functions over k-rook placements are Laurent polynomials in q with
+nonnegative exponents.
 
 Three computation routes are kept side by side on purpose, and the test
 suite plays them against each other:
 
 * the enumeration oracle, q_rook_number_brute, which sums q^inv over every
-  placement.  It reads the placement words of boards._rook_words directly
-  and scores each word bottom-up with a bitmask of the columns holding a
-  rook below (_word_inv); inv_stat stays the public definition, and the
-  tests hold _word_inv to it;
+  placement word of boards.enumerate_rook_configs and scores each word
+  bottom-up with a bitmask of the columns holding a rook below
+  (_word_inv); inv_stat stays the public definition, and the tests hold
+  _word_inv to it;
 * the bottom-up table, _q_rook_table, a column-mask DP that yields every
   q-rook number of a board at once and is cached per board.  Rook numbers
   are this table at q = 1;
@@ -37,9 +39,9 @@ the all-k table 49.4M.
 
 The signed statistic of the hyperoctahedral group has the same pair: the
 DP rb_polynomial over the top half of an even board, and the oracle
-rb_polynomial_brute, which walks every full placement (boards.max_configs)
-and keeps those fixed by 180-degree rotation.  The oracle never pairs
-mirror rows, so it shares no step with the DP it checks.
+rb_polynomial_brute, which walks every full placement word of the same
+enumerator and keeps those fixed by 180-degree rotation.  The oracle never
+pairs mirror rows, so it shares no step with the DP it checks.
 
 All three DPs share one state rule: a state's key is a bit mask of what
 the placements reaching it have taken, its value is their q-weight and
@@ -60,7 +62,8 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from .boards import Board, RookConfig, _rook_words, covers, max_configs
+from .boards import Board, enumerate_rook_configs
+from .permutations import _inversions
 from .qalgebra import (
     ONE,
     ZERO,
@@ -88,25 +91,33 @@ __all__ = [
     "full_placement_q_poly",
 ]
 
-def inv_stat(board: Board, config: RookConfig) -> int:
-    """inv of a rook configuration on a board.
+def inv_stat(board: Board, word: tuple[int, ...]) -> int:
+    """inv of a rook placement on a board, given as a word: word[i - 1] is
+    the column of the rook in row i, or 0 for an empty row.
 
     Counts positions (i, j) of the full m x n rectangle such that no rook
     occupies (i, j') with j' >= j and no rook occupies (i', j) with i' > i.
     The statistic only reads the rectangle dimensions and the rook cells,
-    but a configuration off the board's one-cells is a caller error.
+    but a word that is not a placement on the board's one-cells is a caller
+    error.
     """
-    if not covers(board, config):
-        raise ValueError("configuration is not covered by the board")
     m, n = board.dims
-    row_rook = [0] * (m + 1)  # column of the rook in each row, 0 if none
+    if len(word) != m:
+        raise ValueError(f"a placement on {m} rows needs a word of length {m}")
     col_rook = [0] * (n + 1)  # row of the rook in each column, 0 if none
-    for i, j in config.cells:
-        row_rook[i] = j
+    for i, (mask, j) in enumerate(zip(board.rows, word), start=1):
+        if type(j) is not int or not 0 <= j <= n:
+            raise ValueError(f"row {i} names column {j!r}, outside 1..{n}")
+        if not j:
+            continue
+        if not mask >> (j - 1) & 1:
+            raise ValueError(f"cell ({i}, {j}) is not a one-cell of the board")
+        if col_rook[j]:
+            raise ValueError(f"column {j} holds more than one rook")
         col_rook[j] = i
     total = 0
-    for i in range(1, m + 1):
-        for j in range(row_rook[i] + 1, n + 1):
+    for i, c in enumerate(word, start=1):
+        for j in range(c + 1, n + 1):
             if col_rook[j] <= i:
                 total += 1
     return total
@@ -127,11 +138,9 @@ def _word_inv(word: tuple[int, ...], width: int) -> int:
 
 def q_rook_number_brute(board: Board, k: int) -> LaurentPoly:
     """Sum of q^inv over all k-rook placements, by direct enumeration of the
-    placement words of _rook_words."""
-    if k < 0:
-        raise ValueError("rook count must be nonnegative")
-    n = board.width
-    return LaurentPoly(Counter(_word_inv(word, n) for word in _rook_words(board, k)))
+    placement words of enumerate_rook_configs."""
+    words = enumerate_rook_configs(board, k)
+    return LaurentPoly(Counter(_word_inv(word, board.width) for word in words))
 
 
 @lru_cache(maxsize=4096)
@@ -360,11 +369,16 @@ def _check_even_square(board: Board) -> None:
 
 def rb_polynomial_brute(board: Board) -> BiPoly:
     """Oracle for rb_polynomial, the definition itself: sums q^inversions
-    t^neg over the full placements of the board fixed by 180-degree
-    rotation."""
+    t^neg over the full placement words w of the 2n x 2n board fixed by
+    180-degree rotation (w[i] + w[-1-i] == 2n + 1 in every row); neg counts
+    the bottom n rows whose rook sits in one of the first n columns."""
     _check_even_square(board)
+    size = board.height
+    n = size // 2
     counts = Counter(
-        (p.neg_statistic(), p.inversions()) for p in max_configs(board) if p.rotate180() == p
+        (sum(v <= n for v in word[n:]), _inversions(word))
+        for word in enumerate_rook_configs(board, size)
+        if all(word[i] + word[-1 - i] == size + 1 for i in range(n))
     )
     return BiPoly((t, LaurentPoly.monomial(e, c)) for (t, e), c in counts.items())
 

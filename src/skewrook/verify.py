@@ -17,9 +17,9 @@ from typing import Callable, Iterator, Optional
 
 from .boards import (
     Board,
-    _rook_words,
     all_skew_ferrers_boards,
     block_sharp,
+    enumerate_rook_configs,
     ones,
     right_hull,
     triangular,
@@ -244,7 +244,7 @@ def _ideal_failures(b: Board) -> Iterator[tuple]:
     # swap changes only rows i and j, so it stays a full placement exactly
     # when both of its new cells are one-cells
     rows = b.rows
-    for word in _rook_words(b, b.height):
+    for word in enumerate_rook_configs(b, b.height):
         for i, x in enumerate(word):
             for j in range(i + 1, len(word)):
                 y = word[j]
@@ -287,7 +287,7 @@ def _suite_intervals(max_n: int) -> Iterator[CheckResult]:
     bad = next((
         p.word for p in perms
         if all(starmap(eq, zip_longest(
-            _rook_words(right_hull(p), p.size),
+            enumerate_rook_configs(right_hull(p), p.size),
             _interval_words(tuple(range(1, p.size + 1)), p.word),
         ))) != p.avoids_forbidden()
     ), None)

@@ -99,6 +99,7 @@ ORACLES = (
     "bruhat_interval",
     "poincare_brute",
     "poincare_B_brute",
+    "_interval_words",
 )
 
 

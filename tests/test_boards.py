@@ -11,11 +11,8 @@ from hypothesis import strategies as st
 from skewrook.boards import (
     MAX_WIDTH,
     Board,
-    RookConfig,
-    _rook_words,
     all_skew_ferrers_boards,
     block_sharp,
-    covers,
     enumerate_rook_configs,
     left_hull,
     max_configs,
@@ -284,39 +281,21 @@ def test_intersect():
         b.intersect(ones(2, 3))
 
 
-def test_rook_config_validation():
-    RookConfig.of((1, 1), (2, 2))
-    with pytest.raises(ValueError):
-        RookConfig.of((1, 1), (1, 2))
-    with pytest.raises(ValueError):
-        RookConfig.of((1, 1), (2, 1))
-
-
-def test_covers():
-    assert covers(triangular(2), RookConfig.of())
-    assert covers(triangular(2), RookConfig.of((1, 2), (2, 1)))
-    assert not covers(triangular(2), RookConfig.of((2, 2)))
-    assert not covers(ones(2, 2), RookConfig.of((3, 1)))
-
-
-@given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))))
-def test_hull_covers_its_permutation(word):
-    p = Permutation(tuple(word))
-    config = RookConfig.of(*enumerate(p.word, 1))
-    assert covers(right_hull(p), config)
-
-
 def test_enumerate_rook_configs_frozen():
-    assert list(enumerate_rook_configs(zeros(2, 2), 0)) == [RookConfig.of()]
-    assert len(list(enumerate_rook_configs(ones(2, 2), 1))) == 4
-    assert len(list(enumerate_rook_configs(ones(3, 3), 3))) == 6
+    # a placement is a word: the column of the rook in each row, 0 if none
+    assert list(enumerate_rook_configs(zeros(2, 2), 0)) == [(0, 0)]
+    assert list(enumerate_rook_configs(ones(2, 2), 1)) == [(1, 0), (2, 0), (0, 1), (0, 2)]
+    assert list(enumerate_rook_configs(triangular(2), 2)) == [(2, 1)]
+    assert list(enumerate_rook_configs(ones(3, 3), 3)) == [
+        p.word for p in all_permutations(3)
+    ]
     assert list(enumerate_rook_configs(ones(2, 2), 3)) == []
 
 
-def recursive_rook_words(board, k):
-    """Oracle for _rook_words: the recursive search it replaced.  Each row
-    tries its free columns left to right, then is left empty while more rows
-    remain than rooks still to place."""
+def recursive_placements(board, k):
+    """Oracle for enumerate_rook_configs: the recursive search it replaced.
+    Each row tries its free columns left to right, then is left empty while
+    more rows remain than rooks still to place."""
     rows = board.rows
     m = len(rows)
     word = [0] * m
@@ -350,16 +329,19 @@ def test_rook_words_match_recursive_search():
         rows = tuple(rng.randrange(1 << n) if rng.random() < 0.8 else 0 for _ in range(m))
         cases += [(Board(rows, n), k) for k in range(m + 2)]
     for b, k in cases:
-        assert list(_rook_words(b, k)) == list(recursive_rook_words(b, k)), (b.rows, b.width, k)
+        got = list(enumerate_rook_configs(b, k))
+        assert got == list(recursive_placements(b, k)), (b.rows, b.width, k)
 
 
 @given(boards(max_side=4), st.integers(0, 4))
 def test_enumeration_is_duplicate_free_and_covered(b, k):
-    configs = list(enumerate_rook_configs(b, k))
-    assert len(configs) == len(set(configs))
-    for c in configs:
-        assert len(c.cells) == k
-        assert covers(b, c)
+    words = list(enumerate_rook_configs(b, k))
+    assert len(words) == len(set(words))
+    for word in words:
+        assert len(word) == b.height
+        cols = [j for j in word if j]
+        assert len(cols) == len(set(cols)) == k
+        assert all(b.cell(i, j) for i, j in enumerate(word, 1) if j)
 
 
 @given(boards(max_side=4), st.integers(0, 3))
@@ -387,11 +369,7 @@ def test_max_configs_matches_enumeration(b):
     if b.dims[0] != b.dims[1]:
         return
     n = b.dims[0]
-    want = {
-        Permutation(tuple(j for _, j in sorted(c.cells)))
-        for c in enumerate_rook_configs(b, n)
-    }
-    assert max_configs(b) == want
+    assert max_configs(b) == {Permutation(w) for w in enumerate_rook_configs(b, n)}
 
 
 def test_all_skew_ferrers_boards_is_deduped_and_sorted():

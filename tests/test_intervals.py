@@ -40,7 +40,7 @@ from skewrook.permutations import (
     bruhat_leq,
     poincare_brute,
 )
-from skewrook.qalgebra import LaurentPoly, stirling2
+from skewrook.qalgebra import ONE, LaurentPoly, stirling2
 
 P = Permutation.from_text
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -114,6 +114,28 @@ def test_poincare_via_rook_matches_brute_force():
                 if not w.avoids_forbidden():
                     continue
                 assert poincare_via_rook(u, w) == poincare_brute(u, w), (u, w)
+
+
+# Blocks of the direct sums below: each avoids the four forbidden patterns,
+# and so does any direct sum of them.
+SUM_BLOCKS = ("1", "21", "321", "4321", "231", "312", "1324", "3412", "2413", "35124")
+
+
+def test_poincare_via_rook_factors_over_direct_sums_up_to_the_width_cap():
+    # [id, w_1 + ... + w_r] is the product of the posets [id, w_i], so its
+    # Poincare polynomial is the product of theirs.  u stays the identity:
+    # flip_ud of a direct sum is a skew sum, which contains 4231 as soon as
+    # an inner block of u has a descent.
+    blocks = {b: poincare_brute(Permutation.identity(len(b)), P(b)) for b in SUM_BLOCKS}
+    rng = random.Random(21)
+    for trial in range(40):
+        size = 64 if trial % 4 == 0 else rng.randint(1, 64)
+        word, want = (), ONE
+        while len(word) < size:
+            block = rng.choice([b for b in SUM_BLOCKS if len(word) + len(b) <= size])
+            word += tuple(len(word) + int(c) for c in block)
+            want = want * blocks[block]
+        assert poincare_via_rook(Permutation.identity(size), Permutation(word)) == want, word
 
 
 def test_poincare_via_rook_validates_sides():

@@ -32,7 +32,7 @@ from skewrook.qalgebra import (
     q_stirling,
     stirling2,
 )
-from skewrook.rooks import full_placement_q_poly, sharp_rb
+from skewrook.rooks import full_placement_q_poly, inv_stat, sharp_rb
 
 ID2, ID3 = Permutation.identity(2), Permutation.identity(3)
 SQUARE = ones(2, 2)
@@ -74,6 +74,11 @@ REFUSALS = [
     (zeros, (-1, 0), ValueError, "dimensions must be nonnegative"),
     (triangular, (-1,), ValueError, "size must be nonnegative"),
     (enumerate_rook_configs, (SQUARE, -1), ValueError, "rook count must be nonnegative"),
+    (inv_stat, (SQUARE, (1,)), ValueError, "a placement on 2 rows needs a word of length 2"),
+    (inv_stat, (SQUARE, (3, 0)), ValueError, "row 1 names column 3, outside 1..2"),
+    (inv_stat, (SQUARE, (0, -1)), ValueError, "row 2 names column -1, outside 1..2"),
+    (inv_stat, (SQUARE, (1.0, 0)), ValueError, "row 1 names column 1.0, outside 1..2"),
+    (inv_stat, (SQUARE, (1, 1)), ValueError, "column 1 holds more than one rook"),
     (SQUARE.is_skew_ferrers, ("up",), ValueError, "align must be 'left' or 'right'"),
     (all_skew_ferrers_boards, (2, 2, "up"), ValueError, "align must be 'left' or 'right'"),
     (all_skew_ferrers_boards, (-1, 2), ValueError, "dimensions must be nonnegative ints"),
@@ -124,3 +129,29 @@ def test_size_gate_precedes_the_pattern_scan(monkeypatch):
     ]:
         with pytest.raises(ValueError, match=TOO_WIDE):
             fn(*args)
+
+
+# The memoised functions key their caches by argument type: a bool or float
+# argument is refused even right after the int it equals was cached.
+CACHED_REFUSALS = [
+    (q_factorial, (1,), (True,), "q_factorial needs a nonnegative argument"),
+    (q_factorial, (2,), (2.0,), "q_factorial needs a nonnegative argument"),
+    (q_stirling, (3, 2), (3.0, 2), "q_stirling needs a nonnegative row index"),
+    (q_stirling, (3, 2), (3, 2.0), "q_stirling needs an int column index"),
+    (stirling2, (3, 2), (3.0, 2), "stirling2 needs a nonnegative row index"),
+    (stirling2, (3, 1), (3, True), "stirling2 needs an int column index"),
+    (all_skew_ferrers_boards, (1, 2), (True, 2), "dimensions must be nonnegative ints"),
+    (all_skew_ferrers_boards, (2, 2), (2.0, 2), "dimensions must be nonnegative ints"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, cached, args, message",
+    CACHED_REFUSALS,
+    ids=[f"{fn.__qualname__}({', '.join(map(repr, args))})" for fn, _, args, _ in CACHED_REFUSALS],
+)
+def test_refusal_does_not_depend_on_the_cache(fn, cached, args, message):
+    fn(*cached)
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert message in str(info.value)

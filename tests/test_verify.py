@@ -3,7 +3,7 @@
 import pytest
 
 from skewrook import cli, intervals, verify
-from skewrook.boards import Board, _rook_words, all_skew_ferrers_boards, ones, zeros
+from skewrook.boards import Board, all_skew_ferrers_boards, enumerate_rook_configs, ones, zeros
 from skewrook.intervals import CosetRepA, max_coset_rep_B
 from skewrook.permutations import Permutation, _interval_words, all_permutations
 from skewrook.qalgebra import ONE, Q, BiPoly, LaurentPoly
@@ -42,7 +42,8 @@ def test_full_placement_words_increase():
     for m in range(1, 6):
         for n in range(1, 6):
             for b in all_skew_ferrers_boards(m, n, "right"):
-                assert _strictly_increasing(list(_rook_words(b, b.height))), b.to_text()
+                words = list(enumerate_rook_configs(b, b.height))
+                assert _strictly_increasing(words), b.to_text()
 
 
 def test_interval_words_increase():
@@ -148,7 +149,7 @@ FAILURES = [
      "intervals.hull-minimality", ("minimal", (1, 2), "#.\n.#"),
      {"intervals.hull-characterization": (1, 2)}),
     # the empty board is no hull, so only the order-ideal check reads it
-    ("intervals", 3, "_rook_words", (zeros(2, 2), 2), lambda v: [(2, 1)],
+    ("intervals", 3, "enumerate_rook_configs", (zeros(2, 2), 2), lambda v: [(2, 1)],
      "intervals.order-ideal", (zeros(2, 2).to_text(), (2, 1), (1, 2)), {}),
     ("intervals", 3, "bruhat_leq", (ID1, ID1), lambda v: not v,
      "intervals.order-axioms", ("reflexive", (1,)), {}),
