@@ -301,6 +301,8 @@ def enumerate_rook_configs(board: Board, k: int) -> Iterator[tuple[int, ...]]:
     that the lowest option is always the next one in that order.  A row
     with one rook left yields a word for each free column at once.
     """
+    if type(k) is not int:
+        raise ValueError(f"rook count must be an int, got {k!r}")
     if k < 0:
         raise ValueError("rook count must be nonnegative")
     rows = board.rows

@@ -18,10 +18,11 @@ avoids the four patterns exactly when every box of Fulton's essential set
 of c (Duke Math. J. 65, 1992) carries one of two extreme rank values.  Only
 a word that fails it is searched for a witness, by a depth-first search
 that extends a partial occurrence only while it stays order-isomorphic to
-the pattern's prefix.  That search is the witness route and the criterion's
-oracle.  The plain scans the searches replace, the C(n, k) position sets
-and the filter of S_n by full rank tables, are kept as oracles in
-tests/test_permutations.py.
+the pattern's prefix.  The search is one loop over a stack of per-step
+position iterators, not a recursion, so no pattern is too long for it.  It
+is the witness route and the criterion's oracle.  The plain scans the
+searches replace, the C(n, k) position sets and the filter of S_n by full
+rank tables, are kept as oracles in tests/test_permutations.py.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import itertools
 from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .qalgebra import BiPoly, LaurentPoly
@@ -165,33 +165,44 @@ class Permutation:
         value must lie strictly between the values already matched to the
         pattern entries nearest below and nearest above pat[d], and the
         position may not pass n - k + d.  Pruned branches hold no
-        occurrence, so the first leaf reached is the first occurrence.
+        occurrence, so the first leaf reached is the first occurrence.  It is
+        one loop over a stack of iterators, one per step, over the positions
+        not yet tried: a match pushes the next step's, and an exhausted one
+        is popped, so that the step before resumes its own where it stopped.
         """
         word, pat = self.word, pattern.word
         n, k = len(word), len(pat)
-        if k > n:
-            return None
-        bounds = _prefix_bounds(pat)
-        # vals[t] is the value matched to pat[t]; slots k and k+1 are the
-        # sentinels 0 and n+1 that _prefix_bounds names for a missing side
-        vals = [0] * k + [0, n + 1]
+        # below[d], above[d]: the pattern values nearest pat[d] among pat[:d],
+        # with 0 and k + 1 for a missing side
+        below, above = [], []
+        seen = [0, k + 1]
+        for v in pat:
+            r = bisect_right(seen, v)
+            below.append(seen[r - 1])
+            above.append(seen[r])
+            seen.insert(r, v)
+        # matched[p] is the letter matched to pattern value p; the sentinels
+        # 0 and k + 1 match 0 and n + 1
+        matched = [0] * (k + 2)
+        matched[k + 1] = n + 1
         positions = [0] * k
-
-        def extend(d: int, start: int) -> bool:
+        tries = [iter(range(n - k + 1))]
+        while tries:
+            d = len(tries) - 1
             if d == k:
-                return True
-            lo_t, hi_t = bounds[d]
-            lo, hi = vals[lo_t], vals[hi_t]
-            for i in range(start, n - k + d + 1):
+                return tuple(positions)
+            lo, hi = matched[below[d]], matched[above[d]]
+            for i in tries[d]:
                 v = word[i]
                 if lo < v < hi:
-                    vals[d] = v
-                    positions[d] = i + 1
-                    if extend(d + 1, i + 1):
-                        return True
-            return False
-
-        return tuple(positions) if extend(0, 0) else None
+                    break
+            else:
+                tries.pop()
+                continue
+            matched[pat[d]] = v
+            positions[d] = i + 1
+            tries.append(iter(range(i + 1, n - k + d + 2)))
+        return None
 
     def find_forbidden(self) -> Optional[tuple["Permutation", tuple[int, ...]]]:
         """First forbidden pattern occurrence, as (pattern, 1-indexed positions).
@@ -221,24 +232,6 @@ class Permutation:
         on Fulton's essential set alone (_avoids_forbidden); no occurrence
         is searched for."""
         return _avoids_forbidden(self.word)
-
-
-@lru_cache(maxsize=64)
-def _prefix_bounds(pat: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """For each step d, the steps t < d whose pattern entries are nearest
-    below and nearest above pat[d]; k and k + 1 stand for "none"."""
-    k = len(pat)
-    bounds = []
-    for d, v in enumerate(pat):
-        below = [t for t in range(d) if pat[t] < v]
-        above = [t for t in range(d) if pat[t] > v]
-        bounds.append(
-            (
-                max(below, key=pat.__getitem__, default=k),
-                min(above, key=pat.__getitem__, default=k + 1),
-            )
-        )
-    return tuple(bounds)
 
 
 FORBIDDEN_PATTERNS = (

@@ -398,9 +398,10 @@ def q_factorial(i: int) -> LaurentPoly:
     """[i]!_q = [1]_q [2]_q ... [i]_q.
 
     Filled upward in a loop from the top row so far, or from [0]!_q below
-    it; only the top row is kept, since [600]!_q alone has 179701 big
-    coefficients.  Each factor [j]_q is a window sum of width j, taken as a
-    difference of prefix sums in linear time.
+    it; the fill keeps only the top row, since [600]!_q alone has 179701
+    big coefficients, but the lru_cache keeps every LaurentPoly returned.
+    Each factor [j]_q is a window sum of width j, taken as a difference of
+    prefix sums in linear time.
     """
     if type(i) is not int or i < 0:
         raise ValueError("q_factorial needs a nonnegative argument")

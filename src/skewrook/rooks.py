@@ -40,8 +40,9 @@ the all-k table 49.4M.
 The signed statistic of the hyperoctahedral group has the same pair: the
 DP rb_polynomial over the top half of an even board, and the oracle
 rb_polynomial_brute, which walks every full placement word of the same
-enumerator and keeps those fixed by 180-degree rotation.  The oracle never
-pairs mirror rows, so it shares no step with the DP it checks.
+enumerator, keeps those fixed by 180-degree rotation and scores them with
+_word_inv.  The oracle never pairs mirror rows, so it shares no step with
+the DP it checks.
 
 All three DPs share one state rule: a state's key is a bit mask of what
 the placements reaching it have taken, its value is their q-weight and
@@ -63,7 +64,6 @@ from functools import lru_cache
 from math import comb
 
 from .boards import Board, enumerate_rook_configs
-from .permutations import _inversions
 from .qalgebra import (
     ONE,
     ZERO,
@@ -267,6 +267,8 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
 
 def q_rook_number(board: Board, k: int) -> LaurentPoly:
     """kth q-rook number: sum of q^inv over k-rook placements."""
+    if type(k) is not int:
+        raise ValueError(f"rook count must be an int, got {k!r}")
     if k < 0:
         raise ValueError("rook count must be nonnegative")
     m, n = board.dims
@@ -370,13 +372,14 @@ def _check_even_square(board: Board) -> None:
 def rb_polynomial_brute(board: Board) -> BiPoly:
     """Oracle for rb_polynomial, the definition itself: sums q^inversions
     t^neg over the full placement words w of the 2n x 2n board fixed by
-    180-degree rotation (w[i] + w[-1-i] == 2n + 1 in every row); neg counts
+    180-degree rotation (w[i] + w[-1-i] == 2n + 1 in every row), scored by
+    _word_inv, which on a full placement is the inversion number; neg counts
     the bottom n rows whose rook sits in one of the first n columns."""
     _check_even_square(board)
     size = board.height
     n = size // 2
     counts = Counter(
-        (sum(v <= n for v in word[n:]), _inversions(word))
+        (sum(v <= n for v in word[n:]), _word_inv(word, size))
         for word in enumerate_rook_configs(board, size)
         if all(word[i] + word[-1 - i] == size + 1 for i in range(n))
     )

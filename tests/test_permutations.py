@@ -410,6 +410,14 @@ def test_find_pattern_edge_cases():
             assert p._find_pattern(pat) == scan_pattern(p.word, pat.word)
 
 
+def test_find_pattern_has_no_depth_limit():
+    # a pattern far longer than the recursion limit, found and refuted
+    big = Permutation.identity(1200)
+    assert big._find_pattern(Permutation.identity(1100)) == tuple(range(1, 1101))
+    assert big.contains_pattern(Permutation.identity(1100))
+    assert big._find_pattern(Permutation(tuple(range(1100, 0, -1)))) is None
+
+
 def test_find_forbidden_reports_positions():
     hit = P("4231").find_forbidden()
     assert hit is not None

@@ -18,6 +18,7 @@ from skewrook.qalgebra import (
     BiPoly,
     _stirling2_row,
     _unpack,
+    ZERO,
     LaurentPoly,
     poly_bernoulli,
     q_factorial,
@@ -50,6 +51,19 @@ def test_zero_polynomial():
         z.min_exp()
     with pytest.raises(ValueError):
         z.degree()
+
+
+def test_repeated_exponents_cancel_in_both_constructors():
+    assert LaurentPoly([(1, 2), (1, -2)]) == ZERO
+    assert LaurentPoly([(1, 2), (1, -2), (1, 1)]) == Q
+    f = BiPoly([(1, Q), (1, -Q)])
+    assert f.items() == () and f.is_zero and not f
+
+
+def test_int_on_the_left_and_hashes_of_constants():
+    assert 3 - Q == LaurentPoly({0: 3, 1: -1})
+    assert len({LaurentPoly({0: 5}), 5}) == 1
+    assert hash(ZERO) == hash(0)
 
 
 def test_monomial_and_constant():

@@ -32,7 +32,7 @@ from skewrook.qalgebra import (
     q_stirling,
     stirling2,
 )
-from skewrook.rooks import full_placement_q_poly, inv_stat, sharp_rb
+from skewrook.rooks import full_placement_q_poly, inv_stat, q_rook_number, sharp_rb
 
 ID2, ID3 = Permutation.identity(2), Permutation.identity(3)
 SQUARE = ones(2, 2)
@@ -74,6 +74,12 @@ REFUSALS = [
     (zeros, (-1, 0), ValueError, "dimensions must be nonnegative"),
     (triangular, (-1,), ValueError, "size must be nonnegative"),
     (enumerate_rook_configs, (SQUARE, -1), ValueError, "rook count must be nonnegative"),
+    (enumerate_rook_configs, (SQUARE, 1.0), ValueError, "rook count must be an int, got 1.0"),
+    (enumerate_rook_configs, (SQUARE, 2.5), ValueError, "rook count must be an int, got 2.5"),
+    (enumerate_rook_configs, (SQUARE, True), ValueError, "rook count must be an int, got True"),
+    (q_rook_number, (SQUARE, 1.0), ValueError, "rook count must be an int, got 1.0"),
+    (q_rook_number, (SQUARE, 2.5), ValueError, "rook count must be an int, got 2.5"),
+    (q_rook_number, (SQUARE, True), ValueError, "rook count must be an int, got True"),
     (inv_stat, (SQUARE, (1,)), ValueError, "a placement on 2 rows needs a word of length 2"),
     (inv_stat, (SQUARE, (3, 0)), ValueError, "row 1 names column 3, outside 1..2"),
     (inv_stat, (SQUARE, (0, -1)), ValueError, "row 2 names column -1, outside 1..2"),

@@ -186,6 +186,36 @@ def test_full_rectangles_match_the_product_formula():
     assert top == 4_716_824
 
 
+def _padded(b, k):
+    """The (m + n - k)-square board with n - k new top rows of ones on b's
+    columns only, m - k new left columns of ones on b's rows only, b in the
+    lower right and zeros in the top-left corner."""
+    m, n = b.dims
+    left = (1 << (m - k)) - 1
+    top = ((1 << n) - 1) << (m - k)
+    return Board((top,) * (n - k) + tuple(left | r << (m - k) for r in b.rows), m + n - k)
+
+
+def test_table_matches_full_placement_on_padded_boards():
+    """R_k(B) [n-k]!_q [m-k]!_q is the full-placement polynomial of the padded
+    board: the top rooks fill B's empty columns above every original row and
+    the left rooks fill B's empty rows left of every original column, so the
+    original rectangle scores inv of B's placement and each new block only
+    its own inversions.  This plays the two DPs against each other."""
+    rng = random.Random(22)
+    checks = 0
+    for _ in range(400):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.random()
+        b = Board(tuple(sum(1 << j for j in range(n) if rng.random() < density)
+                        for _ in range(m)), n)
+        for k in range(min(m, n) + 1):
+            want = full_placement_q_poly(_padded(b, k))
+            assert q_rook_number(b, k) * q_factorial(n - k) * q_factorial(m - k) == want, (b, k)
+            checks += 1
+    assert checks > 1000
+
+
 def test_board_at_max_width():
     b = ones(3, MAX_WIDTH)
     for k in range(3):
