@@ -2,8 +2,12 @@
 
 Exact integer and Laurent-polynomial arithmetic throughout; every closed form
 ships with a brute-force oracle and a verification sweep (see the verify
-module and the `skewrook verify` command).
+module and the `skewrook verify` command).  The verify module loads on first
+use: the package serves it, and the names it exports here, through a
+module-level __getattr__ (PEP 562), so `import skewrook` does not compile it.
 """
+
+import importlib
 
 from .boards import (
     Board,
@@ -71,6 +75,14 @@ from .rooks import (
     sharp_rb,
     t_board_q_rook,
 )
-from .verify import CheckResult, bjorner_ekedahl_violation, run_suite
 
 __version__ = "0.1.0"
+
+_FROM_VERIFY = ("CheckResult", "bjorner_ekedahl_violation", "run_suite")
+
+
+def __getattr__(name):
+    if name == "verify" or name in _FROM_VERIFY:
+        verify = importlib.import_module(f"{__name__}.verify")
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,12 +18,11 @@ row (bit j-1 set means cell (i, j) is a one).  Rows and columns are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .permutations import Permutation
+from .permutations import Permutation, _Record
 
 __all__ = [
     "Board",
@@ -42,21 +41,23 @@ __all__ = [
 MAX_WIDTH = 64
 
 
-@dataclass(frozen=True)
-class Board:
+class Board(_Record):
     """An m x n zero-one matrix with per-row column bitmasks."""
 
+    __slots__ = ("rows", "width")
     rows: tuple[int, ...]
     width: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if type(self.width) is not int or not 0 <= self.width <= MAX_WIDTH:
+    def __init__(self, rows: Iterable[int], width: int):
+        rows = tuple(rows)
+        if type(width) is not int or not 0 <= width <= MAX_WIDTH:
             raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
-        full = (1 << self.width) - 1
-        for mask in self.rows:
+        full = (1 << width) - 1
+        for mask in rows:
             if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask & ~full:
                 raise ValueError("row mask does not fit the declared width")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "width", width)
 
     @classmethod
     def from_matrix(cls, matrix: Iterable[Iterable[int]], width: int | None = None) -> "Board":
@@ -232,19 +233,21 @@ def _interval_mask(lo: int, hi: int) -> int:
 
 
 def ones(m: int, n: int) -> Board:
-    if m < 0 or n < 0:
-        raise ValueError("dimensions must be nonnegative")
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise ValueError("dimensions must be nonnegative ints")
     return Board((((1 << n) - 1),) * m, n)
 
 
 def zeros(m: int, n: int) -> Board:
-    if m < 0 or n < 0:
-        raise ValueError("dimensions must be nonnegative")
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise ValueError("dimensions must be nonnegative ints")
     return Board((0,) * m, n)
 
 
 def triangular(n: int) -> Board:
     """The n x n staircase: cell (i, j) is a one iff i <= n - j + 1."""
+    if type(n) is not int:
+        raise ValueError(f"size must be an int, got {n!r}")
     if n < 0:
         raise ValueError("size must be nonnegative")
     return Board(tuple((1 << (n - i)) - 1 for i in range(n)), n)

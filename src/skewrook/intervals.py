@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
 from .boards import left_hull, max_configs, right_hull
-from .permutations import Permutation, bruhat_leq
+from .permutations import Permutation, _Record, bruhat_leq
 from .qalgebra import (
     ZERO,
     LaurentPoly,
@@ -101,8 +100,7 @@ def poincare_via_rook(u: Permutation, w: Permutation) -> LaurentPoly:
 # -- minimal coset representatives, symmetric group ----------------------------
 
 
-@dataclass(frozen=True)
-class CosetRepA:
+class CosetRepA(_Record):
     """A permutation increasing on positions 1..k and on k+1..n.
 
     These are the minimal-length representatives of the cosets modulo the
@@ -110,25 +108,31 @@ class CosetRepA:
     k = n is allowed (the identity after reduction).
     """
 
+    __slots__ = ("n", "k", "w")
     n: int
     k: int
     w: Permutation
 
-    def __post_init__(self):
-        if type(self.n) is not int or type(self.k) is not int:
+    def __init__(self, n: int, k: int, w: Permutation):
+        if type(n) is not int or type(k) is not int:
             raise ValueError("n and k must be ints")
-        if not 1 <= self.k <= self.n:
+        if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
-        if self.w.size != self.n:
+        if w.size != n:
             raise ValueError("word size differs from n")
-        word = self.w.word
-        for i in range(self.n - 1):
-            if i + 1 != self.k and word[i] > word[i + 1]:
-                raise ValueError(f"word must increase away from position {self.k}")
+        word = w.word
+        for i in range(n - 1):
+            if i + 1 != k and word[i] > word[i + 1]:
+                raise ValueError(f"word must increase away from position {k}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "w", w)
 
 
 def max_coset_rep_A(n: int, k: int) -> CosetRepA:
     """The longest representative: word (n-k+1, ..., n, 1, ..., n-k)."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     word = tuple(range(n - k + 1, n + 1)) + tuple(range(1, n - k + 1))
@@ -138,6 +142,8 @@ def max_coset_rep_A(n: int, k: int) -> CosetRepA:
 def coset_reps_A(n: int, k: int) -> Iterator[CosetRepA]:
     """All representatives for the given n and k, in lexicographic order of
     the first increasing run."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     universe = range(1, n + 1)
@@ -203,6 +209,8 @@ def theoremA_poincare(n: int, k: int) -> LaurentPoly:
     Terms with i > min(k, n-k) vanish.  The result is an ordinary
     polynomial with constant term 1 and degree k(n-k).
     """
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     total = ZERO
@@ -221,6 +229,8 @@ def theorem8_counts(n: int, k: int) -> tuple[int, int, int]:
     first two are independent; by Kaneko's formula the alternating sum
     (-1)^k sum_i (-1)^i (i+1)^(n-k) i! S(k, i) is B_k^(k-n) itself, so
     poly_bernoulli computes it once for the last two places."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     symmetric = sum(
@@ -236,6 +246,8 @@ def aztec_interval_size(n: int) -> int:
     representative w of the symmetric group on 2n letters; the enclosing
     board is the order-n Aztec diamond and the count is 2^n.  Coset
     representatives avoid the four patterns, so the guard always passes."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     w = max_coset_rep_A(2 * n, n).w
@@ -245,18 +257,19 @@ def aztec_interval_size(n: int) -> int:
 # -- hyperoctahedral group ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(_Record):
     """An element of the hyperoctahedral group on n symbols, stored as a
     rotationally symmetric permutation of 2n letters."""
 
+    __slots__ = ("p",)
     p: Permutation
 
-    def __post_init__(self):
-        if self.p.size % 2:
+    def __init__(self, p: Permutation):
+        if p.size % 2:
             raise ValueError("need even size")
-        if self.p.rotate180() != self.p:
+        if p.rotate180() != p:
             raise ValueError("permutation is not rotationally symmetric")
+        object.__setattr__(self, "p", p)
 
     @property
     def n(self) -> int:
@@ -274,6 +287,8 @@ def rank_B(s: SignedPermutation) -> int:
 def max_coset_rep_B(n: int) -> SignedPermutation:
     """The longest representative modulo the parabolic subgroup generated by
     everything but the sign generator: the word (n+1, ..., 2n, 1, ..., n)."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     word = tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1))
@@ -282,6 +297,8 @@ def max_coset_rep_B(n: int) -> SignedPermutation:
 
 def symmetric_permutations(n: int) -> Iterator[SignedPermutation]:
     """All 2^n n! rotationally symmetric permutations of 2n letters."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError("need n >= 0")
     size = 2 * n
@@ -301,6 +318,8 @@ def theoremB_poincare(n: int) -> LaurentPoly:
 
         q^{binom(n+1,2)} * sum_i S_{n+1,i+1}(1/q) [i]!_q.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     total = ZERO

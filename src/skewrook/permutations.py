@@ -23,6 +23,9 @@ position iterators, not a recursion, so no pattern is too long for it.  It
 is the witness route and the criterion's oracle.  The plain scans the
 searches replace, the C(n, k) position sets and the filter of S_n by full
 rank tables, are kept as oracles in tests/test_permutations.py.
+
+_Record, the base of the package's immutable records, lives here, in the
+lowest module that defines one.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .qalgebra import BiPoly, LaurentPoly
@@ -46,35 +48,88 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """Base of the package's immutable records (Permutation, Board,
+    CosetRepA, SignedPermutation, CheckResult).
+
+    A subclass names its fields in __slots__ and sets each in its own
+    __init__, after its checks, through object.__setattr__.  Fields cannot
+    be assigned or deleted; equality holds only between records of one class
+    with equal fields; the hash is the hash of the field tuple; the repr
+    reads Name(field=value, ...); and copy and pickle rebuild a record
+    through its own __init__.  The records are plain classes so that
+    importing the package stays cheap.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # Board keys the rook-table caches and Permutation fills interval
+        # sets, so __eq__ and __hash__ are generated per class, building the
+        # field tuple inline: a generic loop over __slots__ costs several
+        # times as much per call.
+        this = "".join(f"self.{name}, " for name in cls.__slots__)
+        that = this.replace("self.", "other.")
+        namespace: dict = {}
+        exec(
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({this}) == ({that})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({this}))\n",
+            namespace,
+        )
+        cls.__eq__, cls.__hash__ = namespace["__eq__"], namespace["__hash__"]
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._astuple())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Permutation(_Record):
     """A permutation of [n] = {1, ..., n}, 1-indexed throughout.
 
     word[i-1] is the image of i.  Text forms: space separated ("3 5 1 2 4")
     for any n, or a compact digit string ("35124") when n <= 9.
     """
 
+    __slots__ = ("word",)
     word: tuple[int, ...]
 
-    def __post_init__(self):
-        w = tuple(self.word)
-        object.__setattr__(self, "word", w)
+    def __init__(self, word: tuple[int, ...]):
+        w = tuple(word)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in w):
             raise ValueError(f"{w!r} has a letter that is not an int")
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"{w!r} is not a permutation of [{len(w)}]")
+        object.__setattr__(self, "word", w)
 
     @classmethod
     def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
         """Wrap a tuple that is a permutation by construction, without the
-        checks of __post_init__; only the enumerators and symmetries that
-        build their words from one call it."""
+        checks of __init__; only the enumerators and symmetries that build
+        their words from one call it."""
         p = object.__new__(cls)
         object.__setattr__(p, "word", word)
         return p
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        if type(n) is not int:
+            raise ValueError(f"size must be an int, got {n!r}")
         if n < 0:
             raise ValueError("size must be nonnegative")
         return cls(tuple(range(1, n + 1)))

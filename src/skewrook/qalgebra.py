@@ -383,6 +383,8 @@ def q_int(m: int) -> LaurentPoly:
     [0] = 0, [m] = 1 + q + ... + q^(m-1) for m > 0, and for m < 0 the same
     rational expression gives -q^m - q^(m+1) - ... - q^(-1).
     """
+    if type(m) is not int:
+        raise ValueError(f"q_int needs an int, got {m!r}")
     if m >= 0:
         return LaurentPoly({e: 1 for e in range(m)})
     return LaurentPoly({e: -1 for e in range(m, 0)})
@@ -417,6 +419,8 @@ def q_factorial(i: int) -> LaurentPoly:
 
 def q_falling(x: int, k: int) -> LaurentPoly:
     """The falling product [x]_q [x-1]_q ... [x-k+1]_q (k factors)."""
+    if type(x) is not int or type(k) is not int:
+        raise ValueError(f"q_falling needs ints, got {x!r} and {k!r}")
     if k < 0:
         raise ValueError("q_falling needs a nonnegative length")
     out = ONE
@@ -529,6 +533,8 @@ def poly_bernoulli(n: int, k: int) -> int:
     stirling2 table, so a large n holds one row, not the triangle above it,
     and a run of calls with ascending n builds each row once.
     """
+    if type(n) is not int:
+        raise ValueError("poly_bernoulli needs an integer lower index")
     if n < 0:
         raise ValueError("poly_bernoulli needs a nonnegative lower index")
     if not isinstance(k, int) or isinstance(k, bool):

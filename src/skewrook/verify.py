@@ -3,13 +3,14 @@ package checked against a brute-force oracle at configurable scale.
 
 Each suite returns CheckResult records; the CLI renders them.  All sweeps are
 deterministic (fixed seeds, sorted iteration) and clamp their scale to the
-documented limits, warning when a request exceeds them.
+documented limits, warning when a request exceeds them.  `import skewrook`
+does not load this module; the package loads it on first use of
+skewrook.verify or of a name it exports.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain, starmap, zip_longest
 from math import factorial
 from operator import and_, eq
@@ -41,6 +42,7 @@ from .intervals import (
 )
 from .permutations import (
     Permutation,
+    _Record,
     _interval_words,
     all_permutations,
     bruhat_interval,
@@ -70,11 +72,18 @@ from .rooks import (
 __all__ = ["CheckResult", "SUITES", "run_suite", "bjorner_ekedahl_violation"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
+    """One verify check: its name, whether it passed, and what it compared."""
+
+    __slots__ = ("name", "passed", "detail")
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 # documented scale limits and the defaults used when --max-n is absent

@@ -2,8 +2,12 @@
 and no module imports a name it never uses."""
 
 import ast
+import copy
 import importlib
 import inspect
+import os
+import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,11 +15,12 @@ import pytest
 
 import skewrook
 from skewrook import qalgebra, rooks, verify
-from skewrook.boards import block_sharp, enumerate_rook_configs, right_hull, triangular
+from skewrook.boards import Board, block_sharp, enumerate_rook_configs, right_hull, triangular
 from skewrook.intervals import (
     aztec_interval_size,
     count_lower_interval_dp,
     max_coset_rep_A,
+    max_coset_rep_B,
     poincare_B_brute,
     poincare_B_via_rook,
     poincare_via_rook,
@@ -56,6 +61,79 @@ def test_package_imports_only_listed_names():
             f"{node.module}.{a.name}" for a in node.names if a.name not in module.__all__
         ]
     assert not unlisted, unlisted
+    # the names the package serves from verify on first use
+    assert set(skewrook._FROM_VERIFY) <= set(verify.__all__)
+
+
+IMPORT_PROBE = """
+import sys
+import skewrook
+assert not {"dataclasses", "skewrook.verify"} & set(sys.modules), "loaded at import"
+assert skewrook.verify.SUITES is sys.modules["skewrook.verify"].SUITES
+verify = sys.modules["skewrook.verify"]
+assert skewrook.run_suite is verify.run_suite
+from skewrook import CheckResult
+assert CheckResult is verify.CheckResult
+try:
+    skewrook.no_such_name
+except AttributeError:
+    print("ok")
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_verify():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "ok\n"
+
+
+# The five records are immutable slotted classes that keep the behaviour of
+# the frozen dataclasses they replaced: equality within one class, the hash of
+# the field tuple (so set and dict orders stay put), the repr, copying and
+# pickling.
+RECORDS = [
+    ({"word": (2, 1, 3)}, Permutation((2, 1, 3)), "Permutation(word=(2, 1, 3))"),
+    ({"rows": (1, 3), "width": 2}, Board((1, 3), 2), "Board(rows=(1, 3), width=2)"),
+    (
+        {"n": 3, "k": 1, "w": Permutation((3, 1, 2))},
+        max_coset_rep_A(3, 1),
+        "CosetRepA(n=3, k=1, w=Permutation(word=(3, 1, 2)))",
+    ),
+    (
+        {"p": Permutation((2, 1))},
+        max_coset_rep_B(1),
+        "SignedPermutation(p=Permutation(word=(2, 1)))",
+    ),
+    (
+        {"name": "x", "passed": True, "detail": "d"},
+        verify.CheckResult("x", True, "d"),
+        "CheckResult(name='x', passed=True, detail='d')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, record, text", RECORDS, ids=[type(r).__name__ for _, r, _ in RECORDS]
+)
+def test_records_keep_their_dataclass_behaviour(fields, record, text):
+    values = tuple(fields.values())
+    assert tuple(getattr(record, name) for name in fields) == values
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert hash(record) == hash(values)
+    assert record != values
+    assert repr(record) == text
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, name, fields[name])
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert getattr(record, name) == fields[name]
 
 
 def _unused_imports(path: Path) -> list[str]:

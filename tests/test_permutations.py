@@ -53,8 +53,8 @@ def test_constructor_rejects_non_bijections():
 
 
 def test_trusted_construction_matches_checked():
-    # the enumerators and symmetries that skip __post_init__ build the same
-    # objects that a checked construction of their words would
+    # the enumerators and symmetries that skip the checks of __init__ build
+    # the same objects that a checked construction of their words would
     made = [
         *all_permutations(4),
         *max_configs(ones(4, 4)),

@@ -19,8 +19,15 @@ from skewrook.intervals import (
     aztec_interval_size,
     coset_reps_A,
     hull_interval_elements,
+    max_coset_rep_A,
+    max_coset_rep_B,
+    poincare_B_brute,
+    poincare_B_via_rook,
     poincare_via_rook,
     symmetric_permutations,
+    theorem8_counts,
+    theoremA_poincare,
+    theoremB_poincare,
 )
 from skewrook.permutations import Permutation, bruhat_interval, eulerian_gf, poincare_brute
 from skewrook.qalgebra import (
@@ -29,6 +36,7 @@ from skewrook.qalgebra import (
     poly_bernoulli,
     q_factorial,
     q_falling,
+    q_int,
     q_stirling,
     stirling2,
 )
@@ -39,6 +47,8 @@ SQUARE = ones(2, 2)
 TALL = zeros(MAX_WIDTH + 1, 1)
 WIDE = Permutation.identity(MAX_WIDTH + 1)
 TOO_WIDE = f"board width must be in 0..{MAX_WIDTH}"
+NOT_INTS = "n and k must be ints"
+NOT_INT = "n must be an int"
 
 REFUSALS = [
     (full_placement_q_poly, (ones(2, 3),), ValueError, "need a square board"),
@@ -49,7 +59,31 @@ REFUSALS = [
     (CosetRepA, (3, True, ID3), ValueError, "n and k must be ints"),
     (CosetRepA, (3.0, 1, ID3), ValueError, "n and k must be ints"),
     (symmetric_permutations, (-1,), ValueError, "need n >= 0"),
+    # a size that is not an int, a bool or float included, is refused before
+    # any work, not met by a TypeError inside or an answer for True
+    (coset_reps_A, (3.0, 1), ValueError, NOT_INTS),
+    (coset_reps_A, (3, True), ValueError, NOT_INTS),
+    (max_coset_rep_A, (5.0, 2), ValueError, NOT_INTS),
+    (max_coset_rep_A, (5, True), ValueError, NOT_INTS),
+    (theoremA_poincare, (3.0, 1), ValueError, NOT_INTS),
+    (theoremA_poincare, (3, True), ValueError, NOT_INTS),
+    (theorem8_counts, (5, 2.0), ValueError, NOT_INTS),
+    (theorem8_counts, (True, 1), ValueError, NOT_INTS),
+    (aztec_interval_size, (2.5,), ValueError, NOT_INT),
+    (aztec_interval_size, (True,), ValueError, NOT_INT),
+    (max_coset_rep_B, (2.5,), ValueError, NOT_INT),
+    (max_coset_rep_B, (True,), ValueError, NOT_INT),
+    (symmetric_permutations, (2.5,), ValueError, NOT_INT),
+    (symmetric_permutations, (True,), ValueError, NOT_INT),
+    (theoremB_poincare, (2.5,), ValueError, NOT_INT),
+    (theoremB_poincare, (True,), ValueError, NOT_INT),
+    (poincare_B_via_rook, (2.5,), ValueError, NOT_INT),
+    (poincare_B_via_rook, (True,), ValueError, NOT_INT),
+    (poincare_B_brute, (2.0,), ValueError, NOT_INT),
+    (poincare_B_brute, (True,), ValueError, NOT_INT),
     (Permutation.identity, (-1,), ValueError, "size must be nonnegative"),
+    (Permutation.identity, (2.5,), ValueError, "size must be an int, got 2.5"),
+    (Permutation.identity, (True,), ValueError, "size must be an int, got True"),
     (Permutation, ((2.0, 1.0),), ValueError, "has a letter that is not an int"),
     (Permutation, ((True, 2),), ValueError, "has a letter that is not an int"),
     (Permutation.from_text, ("1234567890",), ValueError, "only covers n <= 9"),
@@ -72,7 +106,14 @@ REFUSALS = [
     (ones, (-1, 2), ValueError, "dimensions must be nonnegative"),
     (ones, (2, -1), ValueError, "dimensions must be nonnegative"),
     (zeros, (-1, 0), ValueError, "dimensions must be nonnegative"),
+    (ones, (2.5, 2), ValueError, "dimensions must be nonnegative ints"),
+    (ones, (2, 2.5), ValueError, "dimensions must be nonnegative ints"),
+    (ones, (True, 2), ValueError, "dimensions must be nonnegative ints"),
+    (zeros, (2.5, 0), ValueError, "dimensions must be nonnegative ints"),
+    (zeros, (True, 2), ValueError, "dimensions must be nonnegative ints"),
     (triangular, (-1,), ValueError, "size must be nonnegative"),
+    (triangular, (2.5,), ValueError, "size must be an int, got 2.5"),
+    (triangular, (True,), ValueError, "size must be an int, got True"),
     (enumerate_rook_configs, (SQUARE, -1), ValueError, "rook count must be nonnegative"),
     (enumerate_rook_configs, (SQUARE, 1.0), ValueError, "rook count must be an int, got 1.0"),
     (enumerate_rook_configs, (SQUARE, 2.5), ValueError, "rook count must be an int, got 2.5"),
@@ -92,9 +133,16 @@ REFUSALS = [
     (all_skew_ferrers_boards, (2.5, 2), ValueError, "dimensions must be nonnegative ints"),
     (q_factorial, (-1,), ValueError, "nonnegative argument"),
     (q_falling, (3, -1), ValueError, "nonnegative length"),
+    (q_falling, (3, 1.5), ValueError, "q_falling needs ints, got 3 and 1.5"),
+    (q_falling, (2.5, 1), ValueError, "q_falling needs ints, got 2.5 and 1"),
+    (q_falling, (True, 1), ValueError, "q_falling needs ints, got True and 1"),
+    (q_int, (2.5,), ValueError, "q_int needs an int, got 2.5"),
+    (q_int, (True,), ValueError, "q_int needs an int, got True"),
     (q_stirling, (-1, 0), ValueError, "nonnegative row index"),
     (stirling2, (-1, 0), ValueError, "nonnegative row index"),
     (poly_bernoulli, (-1, 0), ValueError, "nonnegative lower index"),
+    (poly_bernoulli, (2.5, 0), ValueError, "integer lower index"),
+    (poly_bernoulli, (True, 0), ValueError, "integer lower index"),
     (poly_bernoulli, (2, 1.5), ValueError, "integer upper index"),
     (LaurentPoly, ({1.5: 1},), TypeError, "exponent must be int, got 1.5"),
     (LaurentPoly, ({0: 1.5},), TypeError, "coefficient must be int, got 1.5"),
