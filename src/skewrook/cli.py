@@ -39,7 +39,6 @@ from .intervals import (
 )
 from .permutations import Permutation, _interval_words, poincare_brute
 from .qalgebra import LaurentPoly, poly_bernoulli, q_stirling
-from .verify import SUITES, run_suite
 
 __all__ = [
     "main",
@@ -59,6 +58,10 @@ EXIT_INPUT = 2
 EXIT_PATTERN = 3
 EXIT_INTERNAL = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, what `seq` and `yes` report under `head`
+
+# the keys of verify.SUITES, named here so that building the parser does not
+# import verify
+_SUITE_NAMES = ("stirling", "rook", "intervals", "typeB")
 
 # --method brute searches the prefixes of S_n for the type-A and pair routes
 # and scans the signed permutations of B_n for type B.  The limits keep a run
@@ -231,6 +234,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite  # loaded on use, so other commands start faster
+
     results, warnings = run_suite(args.suite, args.max_n)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -293,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the self-verification sweeps")
-    p.add_argument("--suite", choices=("all", *SUITES), default="all")
+    p.add_argument("--suite", choices=("all", *_SUITE_NAMES), default="all")
     p.add_argument("--max-n", type=int, dest="max_n")
     p.set_defaults(func=cmd_verify)
 

@@ -79,6 +79,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return type(self), (self._coeffs,)
+
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
@@ -316,6 +319,9 @@ class BiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
+
+    def __reduce__(self):
+        return type(self), (self._coeffs,)
 
     @property
     def is_zero(self) -> bool:

@@ -30,12 +30,11 @@ verify checks.
 
 Full placement keeps its own DP because it scans top-down, carries only
 placements with a rook in every row so far, drops a state as soon as a
-column it misses has no one-cell left below, and scans the rows of
-Board.transpose instead when that bounds fewer states.  On the hull
+column it misses has no one-cell left below, and keys a state by the free
+count of each block of interchangeable columns.  On the hull
 intersections of the bruhat-pairs benchmark workload (seed 0) it makes
-0.029M mask transitions (0.21M without the prune and the orientation
-pick); a bottom-up scan restricted to a rook in every row makes 2.80M, and
-the all-k table 49.4M.
+6,712 transitions, the column-mask scan it replaced 28,972, a bottom-up
+scan restricted to a rook in every row 2.80M, and the all-k table 49.4M.
 
 The signed statistic of the hyperoctahedral group has the same pair: the
 DP rb_polynomial over the top half of an even board, and the oracle
@@ -45,23 +44,23 @@ _word_inv.  The oracle never pairs mirror rows, so it shares no step with
 the DP it checks.
 
 All three DPs share one state rule: a state's key is a bit mask of what
-the placements reaching it have taken, its value is their q-weight and
-nothing else, and every other count is read off the key.  _q_rook_table
-reads the rook count as the key's popcount, and rb_polynomial, whose key
-holds the taken columns and the set of values placed, reads neg off the
-latter.  The two full-placement DPs pack the q-weight into one
-nonnegative int by Kronecker substitution q -> 2^B, with B bounded from
-the board before the scan (see qalgebra._unpack for the rule), so every
-packed int holds one q-polynomial at one width; a transition is one shift
-and one add, and each int is unpacked once at the end.  _q_rook_table
-still holds a LaurentPoly per state.
+the placements reaching it have taken (in full placement, of the columns
+still free, in canonical form), its value is their q-weight and nothing
+else, and every other count is read off the key.  _q_rook_table reads the
+rook count as the key's popcount, and rb_polynomial, whose key holds the
+taken columns and the set of values placed, reads neg off the latter.
+The two full-placement DPs pack the q-weight into one nonnegative int by
+Kronecker substitution q -> 2^B, with B bounded from the board before the
+scan (see qalgebra._unpack for the rule), so every packed int holds one
+q-polynomial at one width; a transition is a shift and an add, with one
+product more for a block of several free columns, and each int is
+unpacked once at the end.  _q_rook_table holds a LaurentPoly per state.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import comb
 
 from .boards import Board, enumerate_rook_configs
 from .qalgebra import (
@@ -179,88 +178,89 @@ def _q_rook_table(rows: tuple[int, ...], width: int) -> tuple[LaurentPoly, ...]:
     return tuple(table)
 
 
-def _scan_plan(rows: tuple[int, ...], full: int) -> tuple[int, list[int]]:
-    """The state bound of a top-down full-placement scan of `rows`, and per
-    row the columns that no later row has a one in.
-
-    After row i (from 0) a live state holds i + 1 columns, all seen so far,
-    and must hold every such orphaned column, so the states number at most
-    C(|seen - orphaned|, i + 1 - |orphaned|); the bound sums that over rows.
-    """
-    orphaned = []
-    later = 0
-    for mask in reversed(rows):
-        orphaned.append(full & ~later)
-        later |= mask
-    orphaned.reverse()
-    bound = 0
-    seen = 0
-    for i, (mask, must) in enumerate(zip(rows, orphaned)):
-        seen |= mask
-        k = i + 1 - must.bit_count()
-        if k >= 0:
-            bound += comb((seen & ~must).bit_count(), k)
-    return bound, orphaned
-
-
 @lru_cache(maxsize=4096)
 def full_placement_q_poly(board: Board) -> LaurentPoly:
     """Sum of q^inversions over permutations fitting inside a square board.
 
-    Top-to-bottom DP over used-column masks; placing a rook in column j
-    below already-placed rooks adds one inversion per used column right of
-    j.  Equals q_rook_number(board, n) since inv of a full placement is the
-    inversion number of its permutation.
+    Scans rows top-down.  A rook in column c scores the free columns left
+    of c, the later rows with smaller values, so a full placement scores its
+    inversion number and the result equals q_rook_number(board, n).
 
-    A column with no one-cell below the current row must already hold a
-    rook once the row is done: a state missing two such columns is dropped,
-    and a state missing one may place its rook only there.  Transposing the
-    board maps each placement w to w^-1, with the same inversion number, so
-    the DP scans the rows of whichever of the board and board.transpose()
-    has the smaller state bound (_scan_plan), the board itself on a tie.
+    At row i a block is a maximal run of adjacent columns whose one-cells
+    agree on rows i..n-1, so its columns are interchangeable from there on.
+    A key is the free-column mask with each block's free columns moved to
+    its highest ones: it records only the free count of each block.  Blocks
+    only merge as rows are consumed, and the keys are then re-canonicalised
+    on the merged blocks.  A block of the row with m free columns, a free
+    columns left of it, makes one transition: it drops its lowest free
+    column and multiplies by q^a [m]_q.  A column whose last one-cell is in
+    the row must take its rook there: a state with two such free columns is
+    dropped, and one with a single one places its rook there.
 
-    Each state's polynomial is one int, packed by q -> 2^B.  Row i (from 0)
-    of the scan offers at most min(popcount, n - i) columns, so no
-    coefficient exceeds the product of those counts, and B is its bit length.
-
-    The key stays a column mask.  Keyed instead by the free count of each
-    block (a run of adjacent columns whose one-cells agree on the rows not
-    yet scanned), a prototype made fewer transitions on the hull
-    intersections of the bruhat-pairs benchmark workload (seed 0: 28,972 ->
-    10,796) but took longer (0.023 -> 0.059 s), because it builds a tuple
-    key per transition.
+    Each state's polynomial is one int, packed by q -> 2^B, so q^a is a
+    shift and [m]_q a product.  Row i offers at most min(popcount, n - i)
+    columns, so B is the bit length of the product of those counts.
     """
     n = board.height
     if board.width != n:
         raise ValueError("full placements need a square board")
     rows, cols = board.rows, board.transpose().rows
-    full = (1 << n) - 1
-    row_cost, orphaned = _scan_plan(rows, full)
-    col_cost, col_orphaned = _scan_plan(cols, full)
-    if col_cost < row_cost:
-        rows, orphaned = cols, col_orphaned
     bound = 1
     for i, mask in enumerate(rows):
         bound *= min(mask.bit_count(), n - i)
-    if not bound:
+    if not bound or not all(cols):
         return ZERO
     width = bound.bit_length()
-    states: dict[int, int] = {0: 1}
-    for mask, must in zip(rows, orphaned):
+    repunits = [0]  # repunits[m] packs [m]_q
+    for _ in range(n):
+        repunits.append(repunits[-1] << width | 1)
+    # joins[r]: the columns j that join column j + 1 from row r on;
+    # ends[r]: the columns whose last one-cell is in row r - 1
+    joins: list[list[int]] = [[] for _ in range(n + 1)]
+    ends = [0] * (n + 1)
+    for j, col in enumerate(cols):
+        ends[col.bit_length()] |= 1 << j
+        if j:
+            joins[(cols[j - 1] ^ col).bit_length()].append(j - 1)
+    cuts = (1 << n) - 1  # bit j: column j is the highest of its block
+    states: dict[int, int] = {cuts: 1}
+    for i, mask in enumerate(rows):
+        if joins[i]:
+            cuts &= ~sum(1 << j for j in joins[i])
+            merged = {}
+            for j in joins[i]:
+                top = cuts & -(1 << j)
+                top &= -top
+                merged[top] = (top << 1) - (1 << (cuts & ((1 << j) - 1)).bit_length())
+            canon: dict[int, int] = {}
+            for key, packed in states.items():
+                for top, block in merged.items():
+                    c = (key & block).bit_count()
+                    key = key & ~block | (top << 1) - (top << 1 >> c)
+                canon[key] = canon.get(key, 0) + packed
+            states = canon
+        must = ends[i + 1]
+        single = cuts & ((cuts << 1) | 1)
         nxt: dict[int, int] = {}
-        for used, packed in states.items():
-            free = mask & ~used
-            need = must & ~used
+        for key, packed in states.items():
+            free = key & mask
+            need = key & must
             if need:
                 if need & (need - 1):
                     continue
-                free &= need
+                free = need
             while free:
                 bit = free & -free
-                free ^= bit
-                key = used | bit
-                shift = width * (used >> bit.bit_length()).bit_count()
-                nxt[key] = nxt.get(key, 0) + (packed << shift)
+                if bit & single:
+                    free ^= bit
+                    value = packed
+                else:
+                    top = cuts & -bit
+                    top &= -top
+                    free &= -(top << 1)
+                    value = packed * repunits[top.bit_length() - bit.bit_length() + 1]
+                key_ = key ^ bit
+                nxt[key_] = nxt.get(key_, 0) + (value << width * (key & (bit - 1)).bit_count())
         states = nxt
     return LaurentPoly(enumerate(_unpack(sum(states.values()), width)))
 

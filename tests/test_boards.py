@@ -149,7 +149,7 @@ def _inverse(p):
 
 
 def test_transpose_inverts_every_full_placement():
-    # the orientation pick in rooks.full_placement_q_poly rests on this
+    # tests/test_rooks.py holds full_placement_q_poly to this symmetry
     rng = random.Random(6)
     square = [b for b in _all_boards(3, 3) if b.height == b.width]
     dense = [Board(tuple(sum(1 << j for j in range(6) if rng.random() < 0.75)

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from skewrook import cli, permutations
+from skewrook import cli, permutations, verify
 from skewrook.intervals import max_coset_rep_A
 from skewrook.permutations import Permutation
 from skewrook.qalgebra import LaurentPoly
@@ -423,6 +423,15 @@ def test_verify_clamps_with_warning():
 
 def test_verify_rejects_unknown_suite():
     assert run_cli("verify", "--suite", "nonsense").returncode == 2
+
+
+def test_verify_suite_choices_name_every_suite():
+    assert cli._SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_cli_import_leaves_verify_unloaded():
+    code = "import sys, skewrook.cli; assert 'skewrook.verify' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code], env=ENV).returncode == 0
 
 
 def test_runs_are_deterministic():

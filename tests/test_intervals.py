@@ -314,9 +314,9 @@ def test_theoremA_matches_brute_force_at_9():
 
 
 def test_theoremA_matches_the_rook_route_beyond_brute_force():
-    """Closed form against the hull route for all 1 <= k < n <= 16, past
-    the n <= 8 that the brute-force tests reach (about 2 s)."""
-    for n in range(2, 17):
+    """Closed form against the hull route for all 1 <= k < n <= 20, past
+    the n <= 8 that the brute-force tests reach (about 1.3 s)."""
+    for n in range(2, 21):
         for k in range(1, n):
             rook = poincare_via_rook(Permutation.identity(n), max_coset_rep_A(n, k).w)
             assert theoremA_poincare(n, k) == rook, (n, k)
@@ -324,9 +324,9 @@ def test_theoremA_matches_the_rook_route_beyond_brute_force():
 
 def test_counting_dp_matches_the_rook_route_on_every_rep():
     """The counting recurrence against the hull route at q = 1, on all
-    4,072 coset representatives with n <= 11 (about 2 s)."""
-    reps = [rep for n in range(2, 12) for k in range(1, n) for rep in coset_reps_A(n, k)]
-    assert len(reps) == 4072
+    8,166 coset representatives with n <= 12 (about 3 s)."""
+    reps = [rep for n in range(2, 13) for k in range(1, n) for rep in coset_reps_A(n, k)]
+    assert len(reps) == 8166
     for rep in reps:
         rook = poincare_via_rook(Permutation.identity(rep.n), rep.w)
         assert count_lower_interval_dp(rep) == rook.evaluate_at_one(), rep

@@ -1,8 +1,10 @@
 """Exact Laurent-polynomial arithmetic and the q-number zoo."""
 
+import copy
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -34,6 +36,20 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 laurent_polys = st.dictionaries(
     st.integers(-6, 6), st.integers(-50, 50), max_size=6
 ).map(LaurentPoly)
+
+
+@pytest.mark.parametrize("value", [
+    ZERO,
+    LaurentPoly({-3: 2, 0: -1, 4: 5}),
+    BiPoly({}),
+    BiPoly({0: LaurentPoly({-1: -7}), 2: -3, 5: LaurentPoly({0: 1, 9: 2})}),
+], ids=["zero", "laurent", "bi-zero", "bi"])
+def test_polynomials_copy_and_pickle(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+        assert twin.items() == value.items() and hash(twin) == hash(value)
+        with pytest.raises(AttributeError):
+            twin._coeffs = {}
 
 
 def test_constructor_drops_zero_coefficients():

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewrook import rooks
 from skewrook.boards import (
     MAX_WIDTH,
     Board,
@@ -280,30 +279,32 @@ def test_full_placement_is_transpose_invariant():
         assert full_placement_q_poly(b) == full_placement_q_poly(b.transpose()), b.to_text()
 
 
-# right hulls whose column scan has the smaller state bound, and the larger
-COLUMNS_CHEAPER = right_hull(Permutation((2, 5, 3, 1, 4)))
-ROWS_CHEAPER = right_hull(Permutation((3, 1, 4, 5, 2)))
+def _blocky_board(rng, n):
+    """A square board made of runs of two to four adjacent columns that
+    differ only above a random row each, so the blocks of a top-down scan
+    merge at several different rows."""
+    cols = []
+    while len(cols) < n:
+        base = sum(1 << i for i in range(n) if rng.random() < 0.75)
+        for _ in range(min(rng.randint(2, 4), n - len(cols))):
+            cols.append(base ^ rng.getrandbits(rng.randint(0, n // 2 + 1)))
+    return Board(tuple(sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(n)), n)
 
 
-@pytest.mark.parametrize("board, scan_columns", [(COLUMNS_CHEAPER, True), (ROWS_CHEAPER, False)])
-def test_full_placement_scans_the_cheaper_orientation(monkeypatch, board, scan_columns):
-    n, full = board.height, (1 << board.height) - 1
-    rows, cols = board.rows, board.transpose().rows
-    row_bound, col_bound = rooks._scan_plan(rows, full)[0], rooks._scan_plan(cols, full)[0]
-    assert (col_bound < row_bound) == scan_columns, (row_bound, col_bound)
-    expected = q_rook_number_brute(board, n)
-    assert not expected.is_zero
-    # hand the DP a plan that kills every state for the orientation it must
-    # skip: the answer survives only if it scans the other one
-    skipped = rows if scan_columns else cols
-    scan_plan = rooks._scan_plan
-
-    def poisoned(scan, every_column):
-        bound, orphaned = scan_plan(scan, every_column)
-        return bound, [full] * n if tuple(scan) == skipped else orphaned
-
-    monkeypatch.setattr(rooks, "_scan_plan", poisoned)
-    assert full_placement_q_poly.__wrapped__(board) == expected
+def test_full_placement_merges_interchangeable_columns():
+    rng = random.Random(5)
+    blocky = [_blocky_board(rng, rng.randint(2, 7)) for _ in range(200)]
+    # the row from which two adjacent columns agree, and so share a block
+    join_rows = {(a ^ b).bit_length() for board in blocky
+                 for a, b in itertools.pairwise(board.transpose().rows)}
+    assert set(range(5)) <= join_rows
+    orphan = [_orphan_early(rng, b) for b in blocky[:60]]
+    empty = [_empty_column(rng, b) for b in blocky[:20]]
+    for b in blocky + orphan + empty:
+        assert full_placement_q_poly(b) == q_rook_number_brute(b, b.height), b.to_text()
+    assert sum(not full_placement_q_poly(b).is_zero for b in blocky) >= 100
+    assert sum(not full_placement_q_poly(b).is_zero for b in orphan) >= 20
+    assert all(full_placement_q_poly(b).is_zero for b in empty)
 
 
 def test_full_placement_is_cached_per_board():
