@@ -60,6 +60,17 @@ class Board(_Record):
         object.__setattr__(self, "width", width)
 
     @classmethod
+    def _trusted(cls, rows: tuple[int, ...], width: int) -> "Board":
+        """Wrap row masks that fit the width by construction, without the
+        checks of __init__; only the symmetries, intersections, hulls and
+        generators that derive them from a valid board or permutation call
+        it, after any width check of their own."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "rows", rows)
+        object.__setattr__(b, "width", width)
+        return b
+
+    @classmethod
     def from_matrix(cls, matrix: Iterable[Iterable[int]], width: int | None = None) -> "Board":
         rows = []
         for row in matrix:
@@ -136,6 +147,8 @@ class Board(_Record):
         """The n x m board whose row j is column j of this one.  A board of
         more than MAX_WIDTH rows has no transpose, so it is refused here and
         in col_lengths."""
+        if len(self.rows) > MAX_WIDTH:
+            raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
         cols = [0] * self.width
         for i, mask in enumerate(self.rows):
             bit = 1 << i
@@ -143,16 +156,16 @@ class Board(_Record):
                 low = mask & -mask
                 mask ^= low
                 cols[low.bit_length() - 1] |= bit
-        return Board(tuple(cols), len(self.rows))
+        return Board._trusted(tuple(cols), len(self.rows))
 
     def flip_ud(self) -> "Board":
-        return Board(self.rows[::-1], self.width)
+        return Board._trusted(self.rows[::-1], self.width)
 
     def mirror_lr(self) -> "Board":
-        return Board(tuple(_revbits(m, self.width) for m in self.rows), self.width)
+        return Board._trusted(tuple(_revbits(m, self.width) for m in self.rows), self.width)
 
     def rotate180(self) -> "Board":
-        return Board(tuple(_revbits(m, self.width) for m in self.rows[::-1]), self.width)
+        return Board._trusted(tuple(_revbits(m, self.width) for m in self.rows[::-1]), self.width)
 
     # -- shape predicates -------------------------------------------------------
 
@@ -208,7 +221,7 @@ class Board(_Record):
     def intersect(self, other: "Board") -> "Board":
         if self.dims != other.dims:
             raise ValueError("boards must share dimensions")
-        return Board(tuple(a & b for a, b in zip(self.rows, other.rows)), self.width)
+        return Board._trusted(tuple(a & b for a, b in zip(self.rows, other.rows)), self.width)
 
     def __str__(self):
         return self.to_text()
@@ -276,12 +289,15 @@ def right_hull(p: Permutation) -> Board:
     """Smallest right-aligned skew Ferrers board covering the permutation.
 
     Row i spans the column interval from min of the values at or below i to
-    max of the values at or above i.
+    max of the values at or above i.  A permutation of more than MAX_WIDTH
+    letters has no hull board and is refused.
     """
     w = p.word
+    if len(w) > MAX_WIDTH:
+        raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
     lo = list(accumulate(reversed(w), min))[::-1]
     hi = accumulate(w, max)
-    return Board(tuple(_interval_mask(a, b) for a, b in zip(lo, hi)), len(w))
+    return Board._trusted(tuple(_interval_mask(a, b) for a, b in zip(lo, hi)), len(w))
 
 
 def left_hull(p: Permutation) -> Board:
@@ -381,6 +397,8 @@ def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board
         )
     if align != "right":
         raise ValueError("align must be 'left' or 'right'")
+    if n > MAX_WIDTH:
+        raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
     shapes: set[tuple[int, ...]] = set()
     stack = [((), n, n)]  # (rows so far, lambda and mu of the last row)
     while stack:
@@ -393,4 +411,4 @@ def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board
             for lam_i in range(lam + 1)
             for mu_i in range(min(mu, lam_i) + 1)
         )
-    return tuple(Board(rows, n) for rows in sorted(shapes))
+    return tuple(Board._trusted(rows, n) for rows in sorted(shapes))

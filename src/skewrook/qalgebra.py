@@ -5,6 +5,12 @@ Integer-coefficient Laurent polynomials in one variable q, the q-analogues
 numbers, and poly-Bernoulli numbers.  Everything is exact: coefficients are
 plain Python ints and no floating point is ever involved.
 
+A product with a one-term factor is an exponent shift and a coefficient
+scale, not a double loop.  Values reach LaurentPoly unchecked only when the
+library built them: monomials and q-integers once their int checks pass,
+operator results, and the dense digit lists of the packed rook DPs and
+q_factorial (_poly_from_digits).  Everything a caller passes in is checked.
+
 All value types are immutable, so they are safe to share between threads.
 The memoised families (q_factorial, q_stirling, stirling2) sit behind
 functools caches keyed by argument type, so a bool or float argument is
@@ -49,7 +55,11 @@ class LaurentPoly:
 
     The internal map never stores a zero coefficient, so equality is plain
     map equality.  Construction accepts a mapping or an iterable of
-    (exponent, coefficient) pairs; repeated exponents are summed.
+    (exponent, coefficient) pairs; repeated exponents are summed, and every
+    exponent and coefficient is checked.  Only values the library built
+    skip those checks (_wrap).  A product with a one-term factor c q^s is
+    an exponent shift by s with every coefficient scaled by c, which is
+    canonical already since two nonzero ints have a nonzero product.
 
     >>> p = LaurentPoly({0: 1, 1: 2})
     >>> p * p == LaurentPoly({0: 1, 1: 4, 2: 4})
@@ -88,6 +98,8 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
+        if type(exp) is int and type(coeff) is int:
+            return _wrap({exp: coeff} if coeff else {})
         return cls({exp: coeff})
 
     @staticmethod
@@ -124,11 +136,15 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for e, c in other._coeffs.items():
+        if not isinstance(other, LaurentPoly):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        big, small = self._coeffs, other._coeffs
+        if len(big) < len(small):
+            big, small = small, big
+        acc = dict(big)
+        for e, c in small.items():
             v = acc.get(e, 0) + c
             if v:
                 acc[e] = v
@@ -154,12 +170,22 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # c q^s times p: shift every exponent by s, scale by c
+            ((s, c),) = b.items()
+            if c == 1:
+                return _wrap({e + s: v for e, v in a.items()})
+            return _wrap({e + s: v * c for e, v in a.items()})
         acc: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 v = acc.get(e, 0) + c1 * c2
                 if v:
@@ -183,9 +209,10 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self._coeffs == other._coeffs
 
     def __hash__(self):
@@ -380,6 +407,15 @@ def _unpack(packed: int, width: int) -> list[int]:
     return [int(bits[max(i - width, 0):i], 2) for i in range(len(bits), 0, -width)]
 
 
+def _poly_from_digits(digits: int | list[int], width: int = 0) -> LaurentPoly:
+    """The LaurentPoly sum c_e q^e of digits c_0, c_1, ... the library
+    computed: a dense coefficient list, or a packed int and its width, read
+    by _unpack.  Zero digits are dropped; no digit is checked again."""
+    if type(digits) is int:
+        digits = _unpack(digits, width)
+    return _wrap({e: c for e, c in enumerate(digits) if c})
+
+
 # -- q-analogues -------------------------------------------------------------
 
 
@@ -392,8 +428,8 @@ def q_int(m: int) -> LaurentPoly:
     if type(m) is not int:
         raise ValueError(f"q_int needs an int, got {m!r}")
     if m >= 0:
-        return LaurentPoly({e: 1 for e in range(m)})
-    return LaurentPoly({e: -1 for e in range(m, 0)})
+        return _wrap(dict.fromkeys(range(m), 1))
+    return _wrap(dict.fromkeys(range(m, 0), -1))
 
 
 # [m, dense coefficients of [m]!_q] for the largest m filled so far.
@@ -420,7 +456,7 @@ def q_factorial(i: int) -> LaurentPoly:
             coeffs[j:] = map(sub, coeffs[j:], coeffs)
         if i > _Q_FACTORIAL_TOP[0]:
             _Q_FACTORIAL_TOP[:] = [i, coeffs]
-    return LaurentPoly(enumerate(coeffs))
+    return _poly_from_digits(coeffs)
 
 
 def q_falling(x: int, k: int) -> LaurentPoly:

@@ -71,7 +71,7 @@ from .qalgebra import (
     q_factorial,
     q_int,
     q_stirling,
-    _unpack,
+    _poly_from_digits,
 )
 
 __all__ = [
@@ -262,7 +262,7 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
                 key_ = key ^ bit
                 nxt[key_] = nxt.get(key_, 0) + (value << width * (key & (bit - 1)).bit_count())
         states = nxt
-    return LaurentPoly(enumerate(_unpack(sum(states.values()), width)))
+    return _poly_from_digits(sum(states.values()), width)
 
 
 def q_rook_number(board: Board, k: int) -> LaurentPoly:
@@ -432,7 +432,7 @@ def rb_polynomial(board: Board) -> BiPoly:
     by_neg = [0] * (n + 1)
     for key, packed in states.items():
         by_neg[(key >> (size + n)).bit_count()] += packed
-    return BiPoly((t, LaurentPoly(enumerate(_unpack(p, width)))) for t, p in enumerate(by_neg))
+    return BiPoly((t, _poly_from_digits(p, width)) for t, p in enumerate(by_neg))
 
 
 def sharp_rb(a: Board) -> BiPoly:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from skewrook.qalgebra import (
     BiPoly,
+    _poly_from_digits,
     _stirling2_row,
     _unpack,
     ZERO,
@@ -86,6 +87,59 @@ def test_monomial_and_constant():
     assert LaurentPoly.monomial(3, 2) == LaurentPoly({3: 2})
     assert LaurentPoly.constant(7) == LaurentPoly({0: 7})
     assert LaurentPoly.monomial(1, 0).is_zero
+
+
+def _convolve(a, b):
+    """The product of two coefficient maps, by the definition."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_canonical(p, coeffs):
+    """p holds exactly the nonzero coefficients of the map coeffs, and
+    equals and hashes like the polynomial the checking constructor builds."""
+    built = LaurentPoly(coeffs)
+    assert p == built and hash(p) == hash(built)
+    assert p.items() == tuple(sorted((e, c) for e, c in coeffs.items() if c))
+
+
+def test_monomial_zero_stores_no_coefficient():
+    for e in (-3, 0, 5):
+        m = LaurentPoly.monomial(e, 0)
+        assert m == ZERO and m.is_zero and m.items() == () and hash(m) == hash(ZERO)
+        assert m.coefficient(e) == 0
+
+
+def test_one_term_products_match_the_convolution():
+    rng = random.Random(20261019)
+    for _ in range(600):
+        dense = {rng.randint(-9, 9): rng.choice([0, 1, -1, rng.randint(-10**6, 10**6), 3**50])
+                 for _ in range(rng.randint(0, 8))}
+        p = LaurentPoly(dense)
+        s = rng.randint(-12, 12)
+        c = rng.choice([1, -1, 2, -7, rng.randint(-10**9, 10**9) or 1, -(2**70)])
+        m = LaurentPoly.monomial(s, c)
+        _assert_canonical(m, {s: c})
+        want = _convolve(dict(p.items()), {s: c})
+        for got in (p * m, m * p):
+            _assert_canonical(got, want)
+        k = rng.choice([0, 1, -1, 3, rng.randint(-10**6, 10**6)])
+        want = _convolve(dict(p.items()), {0: k})
+        for got in (k * p, p * k):
+            _assert_canonical(got, want)
+        t = rng.randint(-5, 5)
+        _assert_canonical(m * LaurentPoly.monomial(t, k), _convolve({s: c}, {t: k}))
+    assert 3 * Q == Q * 3 == LaurentPoly({1: 3})
+    assert -1 * LaurentPoly({-2: 4, 3: -1}) == LaurentPoly({-2: -4, 3: 1})
+
+
+def test_q_int_is_canonical():
+    for m in range(-6, 7):
+        want = {e: 1 for e in range(m)} if m >= 0 else {e: -1 for e in range(m, 0)}
+        _assert_canonical(q_int(m), want)
 
 
 def test_arithmetic_small():
@@ -437,6 +491,36 @@ def test_unpack_top_digit_all_ones(width):
     digits = [top, 0, 1, top]
     assert _unpack(_pack(digits, width), width) == digits
     assert _unpack(top, width) == [top]
+
+
+def test_poly_from_digits_zero():
+    assert _poly_from_digits(0, 1) == ZERO and _poly_from_digits(0, 64).items() == ()
+    assert _poly_from_digits([]) == ZERO and _poly_from_digits([0, 0]).items() == ()
+
+
+@pytest.mark.parametrize("width", [3, 40])
+def test_poly_from_digits_drops_interior_zero_digits(width):
+    digits = [5, 0, 0, 7, 0, 1]
+    want = {0: 5, 3: 7, 5: 1}
+    _assert_canonical(_poly_from_digits(_pack(digits, width), width), want)
+    _assert_canonical(_poly_from_digits(digits), want)
+    _assert_canonical(_poly_from_digits([0, 0, 2, 0]), {2: 2})
+
+
+@pytest.mark.parametrize("width", [1, 5, 8, 13, 64, 100])
+def test_poly_from_digits_top_digit_all_ones(width):
+    top = (1 << width) - 1
+    digits = [top, 0, 1, top]
+    _assert_canonical(_poly_from_digits(_pack(digits, width), width), {0: top, 2: 1, 3: top})
+    _assert_canonical(_poly_from_digits(top, width), {0: top})
+
+
+def test_q_factorial_is_canonical():
+    for i in range(8):
+        want = {0: 1}
+        for j in range(1, i + 1):
+            want = _convolve(want, {e: 1 for e in range(j)})
+        _assert_canonical(q_factorial.__wrapped__(i), want)
 
 
 @given(st.lists(st.integers(0, 2**20 - 1), max_size=30), st.integers(20, 70))

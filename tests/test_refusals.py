@@ -10,7 +10,9 @@ from skewrook.boards import (
     Board,
     all_skew_ferrers_boards,
     enumerate_rook_configs,
+    left_hull,
     ones,
+    right_hull,
     triangular,
     zeros,
 )
@@ -98,6 +100,9 @@ REFUSALS = [
     (TALL.col_lengths, (), ValueError, TOO_WIDE),
     (poincare_via_rook, (WIDE, WIDE), ValueError, TOO_WIDE),
     (hull_interval_elements, (WIDE,), ValueError, TOO_WIDE),
+    (right_hull, (WIDE,), ValueError, TOO_WIDE),
+    (left_hull, (WIDE,), ValueError, TOO_WIDE),
+    (all_skew_ferrers_boards, (0, MAX_WIDTH + 1), ValueError, TOO_WIDE),
     (Board, ((True, 1), 1), ValueError, "row mask does not fit the declared width"),
     (Board, ((1,), True), ValueError, TOO_WIDE),
     (Board, ((), 2.0), ValueError, TOO_WIDE),
@@ -146,6 +151,10 @@ REFUSALS = [
     (poly_bernoulli, (2, 1.5), ValueError, "integer upper index"),
     (LaurentPoly, ({1.5: 1},), TypeError, "exponent must be int, got 1.5"),
     (LaurentPoly, ({0: 1.5},), TypeError, "coefficient must be int, got 1.5"),
+    (LaurentPoly.monomial, (1.5,), TypeError, "exponent must be int, got 1.5"),
+    (LaurentPoly.monomial, (True,), TypeError, "exponent must be int, got True"),
+    (LaurentPoly.monomial, (0, 1.5), TypeError, "coefficient must be int, got 1.5"),
+    (LaurentPoly.monomial, (0, True), TypeError, "coefficient must be int, got True"),
     (Q.__pow__, (True,), ValueError, "exponent must be a nonnegative int"),
     (Q.stretch, (True,), ValueError, "stretch factor must be a positive int"),
 ]
