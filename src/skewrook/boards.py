@@ -4,11 +4,17 @@ permutations, block compositions, and rook-placement enumeration.
 A rook placement is a word: entry i is the column of the rook in row i, or
 0 for an empty row.  One enumerator, enumerate_rook_configs, walks the
 k-rook placements of a board row by row, as an iterative depth-first
-search over column bitmasks.  The full placements of a square board
-(max_configs), every brute-force rook oracle in rooks.py, and verify's
-hull-characterization and order-ideal checks all read it.  A recursive
-search that yields the same words in the same order is kept as its oracle
-in tests/test_boards.py.
+search over column bitmasks.  It returns at once when fewer than k rows
+hold a one-cell, and fills the last two rows of a search in one step.  The
+full placements of a square board (max_configs), every brute-force rook
+oracle in rooks.py, and verify's hull-characterization and order-ideal
+checks all read it.  A recursive search that yields the same words in the
+same order is kept as its oracle in tests/test_boards.py.
+
+all_skew_ferrers_boards lists every skew Ferrers board of a box from the
+definition, as the oracle of the interval-based recogniser
+Board.is_skew_ferrers; it reads each row mask from a table built once per
+call.
 
 A board is an m x n matrix over {0, 1}, stored as one column bitmask per
 row (bit j-1 set means cell (i, j) is a one).  Rows and columns are
@@ -117,6 +123,8 @@ class Board(_Record):
         return (len(self.rows), self.width)
 
     def cell(self, i: int, j: int) -> bool:
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"cell indices must be ints, got {i!r} and {j!r}")
         if not (1 <= i <= self.height and 1 <= j <= self.width):
             raise ValueError(f"cell ({i}, {j}) out of range")
         return bool(self.rows[i - 1] >> (j - 1) & 1)
@@ -319,6 +327,13 @@ def enumerate_rook_configs(board: Board, k: int) -> Iterator[tuple[int, ...]]:
     which the bit just past the last column stands for the empty row, so
     that the lowest option is always the next one in that order.  A row
     with one rook left yields a word for each free column at once.
+
+    Two shortcuts keep the same words in the same order.  A board with
+    fewer nonempty rows than k has no placement, so the search returns
+    before it starts.  When the last two rows must both take a rook, the
+    second-last row pairs each of its free columns, left to right, with
+    each column of the last row that it leaves free, left to right, and
+    yields those words in one step instead of descending a row for each.
     """
     if type(k) is not int:
         raise ValueError(f"rook count must be an int, got {k!r}")
@@ -326,7 +341,7 @@ def enumerate_rook_configs(board: Board, k: int) -> Iterator[tuple[int, ...]]:
         raise ValueError("rook count must be nonnegative")
     rows = board.rows
     m = len(rows)
-    if k > m:
+    if k > m - rows.count(0):
         return
     if k == 0:
         yield (0,) * m
@@ -346,6 +361,21 @@ def enumerate_rook_configs(board: Board, k: int) -> Iterator[tuple[int, ...]]:
                 word[i] = low.bit_length()
                 yield tuple(word)
             word[i] = 0
+        elif left == 2 and i == m - 2:
+            # the last two rows both take a rook: pair each free column of
+            # this row with each column of the last row that it leaves free
+            last = rows[-1] & ~used
+            while c:
+                low = c & -c
+                c ^= low
+                word[i] = low.bit_length()
+                free = last & ~low
+                while free:
+                    b = free & -free
+                    free ^= b
+                    word[-1] = b.bit_length()
+                    yield tuple(word)
+            word[i] = word[-1] = 0
         if m - i > left:
             c |= empty
         taken[i], options[i] = used, c
@@ -385,7 +415,9 @@ def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board
     Walks the nested pairs of Ferrers shapes in the m x n box row by row,
     depth first on an explicit stack: row i takes lambda_i <= lambda_(i-1)
     and mu_i <= min(mu_(i-1), lambda_i), and the board keeps the cells of
-    lambda not in mu.  Distinct differences are returned sorted by their
+    lambda not in mu.  The mask of each (lambda_i, mu_i) is read from a
+    table built once per call, and the boards completed by the last row go
+    straight into a set.  Distinct differences are returned sorted by their
     rows.  Deliberately definitional; it is the oracle against which the
     interval-based recogniser is checked.
     """
@@ -399,16 +431,25 @@ def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board
         raise ValueError("align must be 'left' or 'right'")
     if n > MAX_WIDTH:
         raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
+    # cells[lam][mu] is the row of lambda_i = lam and mu_i = mu, as a
+    # one-mask tuple
+    cells = [
+        [(_interval_mask(n - lam + 1, n - mu),) for mu in range(lam + 1)]
+        for lam in range(n + 1)
+    ]
     shapes: set[tuple[int, ...]] = set()
     stack = [((), n, n)]  # (rows so far, lambda and mu of the last row)
     while stack:
         rows, lam, mu = stack.pop()
-        if len(rows) == m:
+        if len(rows) == m:  # only when m = 0
             shapes.add(rows)
-            continue
-        stack.extend(
-            (rows + (_interval_mask(n - lam_i + 1, n - mu_i),), lam_i, mu_i)
-            for lam_i in range(lam + 1)
-            for mu_i in range(min(mu, lam_i) + 1)
-        )
+        elif len(rows) == m - 1:
+            # every row allowed last completes a board
+            shapes.update(rows + cell for row in cells[: lam + 1] for cell in row[: mu + 1])
+        else:
+            stack.extend(
+                (rows + cells[lam_i][mu_i], lam_i, mu_i)
+                for lam_i in range(lam + 1)
+                for mu_i in range(min(mu, lam_i) + 1)
+            )
     return tuple(Board._trusted(rows, n) for rows in sorted(shapes))

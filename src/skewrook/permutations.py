@@ -162,6 +162,8 @@ class Permutation(_Record):
         return len(self.word)
 
     def __call__(self, i: int) -> int:
+        if type(i) is not int:
+            raise ValueError(f"position must be an int, got {i!r}")
         if not 1 <= i <= len(self.word):
             raise ValueError(f"position {i} out of range 1..{len(self.word)}")
         return self.word[i - 1]
@@ -178,6 +180,8 @@ class Permutation(_Record):
     def rank_count(self, i: int, j: int) -> int:
         """Number of a <= i with word(a) >= j."""
         n = len(self.word)
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"indices must be ints, got {i!r} and {j!r}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"indices ({i}, {j}) out of range 1..{n}")
         return sum(1 for a in range(i) if self.word[a] >= j)
@@ -369,7 +373,10 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
     A window can still hold no free value; the search then backs up.  Row n
     holds for every word, so the last letter is the one value left.  The stack
     holds, per row, the values placed above it and the candidates not yet
-    tried, as bitmasks over 1..n.
+    tried, as bitmasks over 1..n.  The free values of a window depend only on
+    the set m of values placed above it, whose size is the row, so each is
+    worked out once per call and kept in a dict keyed by m: at most 2^n
+    entries, and never more than the nodes the search visits.
     """
     n = len(u)
     if len(w) != n:
@@ -393,22 +400,25 @@ def _interval_words(u: tuple[int, ...], w: tuple[int, ...]) -> Iterator[tuple[in
         row_cons.append(tuple(cons))
     full = (2 << n) - 2
     leaf = n - 2
+    windows: dict[int, int] = {}  # free values of the window, by m
     word = [0] * n
     placed = [0] * n
     cands = [0] * n
     i, m = 0, 0
     while True:
         # the free values in row i's window
-        vlo, vhi = 1, n
-        for j, lo, hi in row_cons[i]:
-            k = (m >> j).bit_count()
-            if k < lo:
-                if j > vlo:
-                    vlo = j
-            elif k >= hi:
-                if j <= vhi:
-                    vhi = j - 1
-        c = ((2 << vhi) - 1) >> vlo << vlo & ~m
+        c = windows.get(m)
+        if c is None:
+            vlo, vhi = 1, n
+            for j, lo, hi in row_cons[i]:
+                k = (m >> j).bit_count()
+                if k < lo:
+                    if j > vlo:
+                        vlo = j
+                elif k >= hi:
+                    if j <= vhi:
+                        vhi = j - 1
+            c = windows[m] = ((2 << vhi) - 1) >> vlo << vlo & ~m
         if i == leaf:
             while c:
                 low = c & -c

@@ -285,8 +285,16 @@ def rook_number(board: Board, k: int) -> int:
     return q_rook_number(board, k).evaluate_at_one()
 
 
+def _check_index_and_argument(n: int, x: int) -> None:
+    """Refuse a polynomial index or argument that is not an int, a bool or
+    float included, before any work."""
+    if type(n) is not int or type(x) is not int:
+        raise ValueError(f"polynomial index and argument must be ints, got {n!r} and {x!r}")
+
+
 def q_rook_poly(board: Board, n: int, x: int) -> LaurentPoly:
     """nth q-rook polynomial at integer x: sum of R_{n-k}(q) [x][x-1]...[x-k+1]."""
+    _check_index_and_argument(n, x)
     if n < 0:
         raise ValueError("polynomial index must be nonnegative")
     total = ZERO
@@ -308,6 +316,7 @@ def gjw_product(board: Board, n: int, x: int) -> int:
     Product over columns of (x + c_j - j + 1) where c_j is the column
     height.  Agrees with q_rook_poly at q=1.
     """
+    _check_index_and_argument(n, x)
     if not board.is_ferrers("right"):
         raise ValueError("board is not a right-aligned Ferrers matrix")
     if n != board.width:
@@ -325,6 +334,7 @@ def garsia_remmel_product(board: Board, n: int, x: int) -> LaurentPoly:
     the number of zero-entries.  Factors may be q-integers of negative
     argument, so the result is genuinely Laurent before cancellation.
     """
+    _check_index_and_argument(n, x)
     if not board.is_ferrers("left"):
         raise ValueError("board is not a left-aligned Ferrers matrix")
     if n != board.width:
@@ -337,6 +347,8 @@ def garsia_remmel_product(board: Board, n: int, x: int) -> LaurentPoly:
 
 def t_board_q_rook(n: int, k: int) -> LaurentPoly:
     """kth q-rook number of the staircase board via q-Stirling numbers."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     return LaurentPoly.monomial(n * (n - 1) // 2) * q_stirling(n + 1, n + 1 - k)

@@ -64,6 +64,7 @@ from .rooks import (
     q_rook_poly,
     rb_polynomial,
     rb_polynomial_brute,
+    rook_number,
     sharp_q_rook,
     sharp_rb,
     t_board_q_rook,
@@ -165,6 +166,20 @@ def _suite_stirling(max_n: int) -> Iterator[CheckResult]:
     )
 
 
+def _rook_poly_at_one(b: Board, xs: range) -> Iterator[tuple[int, int]]:
+    """(x, the nth rook polynomial of the board at q = 1 and x) for each x,
+    with n the board's width: the defining sum over k of r_(n-k) times
+    x(x-1)...(x-k+1), which is q_rook_poly evaluated at q = 1."""
+    n = b.width
+    rooks = [rook_number(b, n - k) for k in range(n + 1)]
+    for x in xs:
+        total, falling = 0, 1
+        for k, r in enumerate(rooks):
+            total += r * falling
+            falling *= x - k
+        yield x, total
+
+
 def _suite_rook(side: int) -> Iterator[CheckResult]:
     exhaust = min(side, 3)
     sides = range(1, exhaust + 1)
@@ -179,11 +194,13 @@ def _suite_rook(side: int) -> Iterator[CheckResult]:
         f"{exhaust}x{exhaust}",
     )
 
+    # the right-aligned product holds only at q = 1, so its defining sum is
+    # taken from integer rook numbers and builds no q-polynomial
     xs = range(5)
     boards = list(_ferrers_boards(side, "right"))
     bad = next((
-        (b.to_text(), x) for b in boards for x in xs
-        if gjw_product(b, b.width, x) != q_rook_poly(b, b.width, x).evaluate_at_one()
+        (b.to_text(), x) for b in boards for x, want in _rook_poly_at_one(b, xs)
+        if gjw_product(b, b.width, x) != want
     ), None)
     yield _result(
         "rook.factored-rook-poly", bad,
@@ -251,9 +268,24 @@ def _hull_failures(n: int) -> Iterator[tuple]:
 def _ideal_failures(b: Board) -> Iterator[tuple]:
     # undoing any inversion of a full placement must stay on the board; the
     # swap changes only rows i and j, so it stays a full placement exactly
-    # when both of its new cells are one-cells
+    # when both of its new cells are one-cells.  One sweep down the word
+    # tests every inversion (i, j) at its lower row j, whose rook y is left
+    # of x, the rook of row i: row j must hold every column right of y that
+    # a rook above takes, and y must not be among the columns left of x
+    # that an upper row i lacks, which the sweep collects in `lacks`.  Only
+    # a word that fails the sweep runs the pair loop, which names its
+    # failures in order.
     rows = b.rows
     for word in enumerate_rook_configs(b, b.height):
+        above = lacks = 0
+        for mask, x in zip(rows, word):
+            bit = 1 << (x - 1)
+            if lacks & bit | above & -bit & ~mask:
+                break
+            above |= bit
+            lacks |= ~mask & (bit - 1)
+        else:
+            continue
         for i, x in enumerate(word):
             for j in range(i + 1, len(word)):
                 y = word[j]
@@ -482,11 +514,13 @@ def run_suite(
 ) -> tuple[list[CheckResult], list[str]]:
     """Run one suite or all of them; returns (results, warnings).
 
-    max_n must be at least 1; a scale above a suite's documented limit is
-    clamped to it, with a warning."""
+    max_n must be an int of at least 1, a bool or float refused; a scale
+    above a suite's documented limit is clamped to it, with a warning."""
     names = list(SUITES) if suite == "all" else [suite]
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if max_n is not None and type(max_n) is not int:
+        raise ValueError(f"max_n must be an int, got {max_n!r}")
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     results: list[CheckResult] = []

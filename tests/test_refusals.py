@@ -42,7 +42,17 @@ from skewrook.qalgebra import (
     q_stirling,
     stirling2,
 )
-from skewrook.rooks import full_placement_q_poly, inv_stat, q_rook_number, sharp_rb
+from skewrook.rooks import (
+    full_placement_q_poly,
+    garsia_remmel_product,
+    gjw_product,
+    inv_stat,
+    q_rook_number,
+    q_rook_poly,
+    sharp_rb,
+    t_board_q_rook,
+)
+from skewrook.verify import run_suite
 
 ID2, ID3 = Permutation.identity(2), Permutation.identity(3)
 SQUARE = ones(2, 2)
@@ -51,6 +61,7 @@ WIDE = Permutation.identity(MAX_WIDTH + 1)
 TOO_WIDE = f"board width must be in 0..{MAX_WIDTH}"
 NOT_INTS = "n and k must be ints"
 NOT_INT = "n must be an int"
+NOT_INT_ARGS = "polynomial index and argument must be ints"
 
 REFUSALS = [
     (full_placement_q_poly, (ones(2, 3),), ValueError, "need a square board"),
@@ -157,6 +168,26 @@ REFUSALS = [
     (LaurentPoly.monomial, (0, True), TypeError, "coefficient must be int, got True"),
     (Q.__pow__, (True,), ValueError, "exponent must be a nonnegative int"),
     (Q.stretch, (True,), ValueError, "stretch factor must be a positive int"),
+    # indices, arguments and scales: a bool or float is refused before any
+    # work, not answered as the int it equals or met by a TypeError inside
+    (gjw_product, (SQUARE, 2, 1.5), ValueError, f"{NOT_INT_ARGS}, got 2 and 1.5"),
+    (gjw_product, (SQUARE, 2, True), ValueError, f"{NOT_INT_ARGS}, got 2 and True"),
+    (gjw_product, (ones(1, 1), True, 0), ValueError, f"{NOT_INT_ARGS}, got True and 0"),
+    (garsia_remmel_product, (SQUARE, 2, True), ValueError, f"{NOT_INT_ARGS}, got 2 and True"),
+    (garsia_remmel_product, (SQUARE, 2.0, 1), ValueError, f"{NOT_INT_ARGS}, got 2.0 and 1"),
+    (q_rook_poly, (SQUARE, True, 0), ValueError, f"{NOT_INT_ARGS}, got True and 0"),
+    (q_rook_poly, (SQUARE, 2, True), ValueError, f"{NOT_INT_ARGS}, got 2 and True"),
+    (q_rook_poly, (SQUARE, 0, 1.5), ValueError, f"{NOT_INT_ARGS}, got 0 and 1.5"),
+    (t_board_q_rook, (True, 0), ValueError, "n and k must be ints, got True and 0"),
+    (t_board_q_rook, (2, 1.0), ValueError, "n and k must be ints, got 2 and 1.0"),
+    (ID2, (True,), ValueError, "position must be an int, got True"),
+    (ID2, (1.0,), ValueError, "position must be an int, got 1.0"),
+    (ID2.rank_count, (True, 1), ValueError, "indices must be ints, got True and 1"),
+    (ID2.rank_count, (1, 1.0), ValueError, "indices must be ints, got 1 and 1.0"),
+    (SQUARE.cell, (True, 1), ValueError, "cell indices must be ints, got True and 1"),
+    (SQUARE.cell, (1, 1.0), ValueError, "cell indices must be ints, got 1 and 1.0"),
+    (run_suite, ("rook", True), ValueError, "max_n must be an int, got True"),
+    (run_suite, ("rook", 2.0), ValueError, "max_n must be an int, got 2.0"),
 ]
 
 
