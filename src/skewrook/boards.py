@@ -147,14 +147,15 @@ class Board(_Record):
         return tuple(mask.bit_count() for mask in self.rows)
 
     def col_lengths(self) -> tuple[int, ...]:
-        return self.transpose().row_lengths()
+        """Column heights, read from the row masks, so a board of any
+        height has them."""
+        return tuple(sum(mask >> j & 1 for mask in self.rows) for j in range(self.width))
 
     # -- symmetries -----------------------------------------------------------
 
     def transpose(self) -> "Board":
         """The n x m board whose row j is column j of this one.  A board of
-        more than MAX_WIDTH rows has no transpose, so it is refused here and
-        in col_lengths."""
+        more than MAX_WIDTH rows has no transpose, so it is refused."""
         if len(self.rows) > MAX_WIDTH:
             raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
         cols = [0] * self.width

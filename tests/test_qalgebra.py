@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from skewrook.qalgebra import (
     BiPoly,
     _poly_from_digits,
+    _q_stirling_step,
     _stirling2_row,
+    _times_q_int,
     _unpack,
     ZERO,
     LaurentPoly,
@@ -369,6 +371,47 @@ def test_stirling_recurrences_at_depth_600():
     assert q_stirling(600, 2) == (1 + Q) ** 599 - 1
     assert stirling2(600, 2) == 2 ** 599 - 1
     assert q_stirling(600, 600) == Q ** (600 * 599 // 2)
+
+
+def test_times_q_int_is_the_product_by_q_int():
+    # dense lists with interior zeros and signed 100-bit coefficients
+    rng = random.Random(27)
+    for _ in range(200):
+        coeffs = [
+            rng.choice((0, rng.randrange(-(2**100), 2**100)))
+            for _ in range(rng.randrange(0, 25))
+        ]
+        kept = list(coeffs)
+        for j in range(1, 13):
+            out = _times_q_int(coeffs, j)
+            assert len(out) == len(coeffs) + j - 1
+            assert _poly_from_digits(out) == _poly_from_digits(coeffs) * q_int(j)
+        assert coeffs == kept
+
+
+@given(st.integers(1, 6), laurent_polys, laurent_polys)
+def test_q_stirling_step_on_any_laurent_pair(j, diag, up):
+    # offsets apart from the triangle's, and terms that cancel
+    want = LaurentPoly.monomial(j - 1) * diag + q_int(j) * up
+    _assert_canonical(_q_stirling_step(j, diag, up), dict(want.items()))
+
+
+def test_q_stirling_triangle_matches_the_product_recurrence():
+    # the reference: the recurrence by LaurentPoly products, row by row
+    prev = [LaurentPoly.constant(1), ZERO]
+    for n in range(1, 41):
+        row = [ZERO]
+        for k in range(1, n + 1):
+            row.append(LaurentPoly({k - 1: 1}) * prev[k - 1] + q_int(k) * prev[k])
+        row.append(ZERO)
+        assert [q_stirling(n, k) for k in range(n + 2)] == row
+        prev = row
+
+
+def test_q_stirling_deep_row_at_one_is_stirling():
+    assert [q_stirling(79, k).evaluate_at_one() for k in range(81)] == [
+        stirling2(79, k) for k in range(81)
+    ]
 
 
 def test_poly_bernoulli_frozen_array():

@@ -108,7 +108,6 @@ REFUSALS = [
     (SQUARE.cell, (3, 1), ValueError, "cell (3, 1) out of range"),
     (SQUARE.cell, (1, 0), ValueError, "cell (1, 0) out of range"),
     (TALL.transpose, (), ValueError, TOO_WIDE),
-    (TALL.col_lengths, (), ValueError, TOO_WIDE),
     (poincare_via_rook, (WIDE, WIDE), ValueError, TOO_WIDE),
     (hull_interval_elements, (WIDE,), ValueError, TOO_WIDE),
     (right_hull, (WIDE,), ValueError, TOO_WIDE),
@@ -223,6 +222,25 @@ def test_size_gate_precedes_the_pattern_scan(monkeypatch):
     ]:
         with pytest.raises(ValueError, match=TOO_WIDE):
             fn(*args)
+
+
+def test_tall_boards_have_column_heights():
+    # only the transpose is refused past MAX_WIDTH rows; column heights are
+    # read from the row masks, so a tall board has them
+    assert TALL.col_lengths() == (0,)
+    rows = [(5 * i + 3) % 32 for i in range(MAX_WIDTH + 7)]
+    tall = Board(rows, 5)
+    assert tall.col_lengths() == tuple(
+        sum(tall.cell(i, j) for i in range(1, tall.height + 1)) for j in range(1, 6)
+    )
+
+
+@pytest.mark.parametrize("x", range(-2, 4))
+def test_factored_products_of_a_tall_column_match_q_rook_poly(x):
+    tall = ones(MAX_WIDTH + 1, 1)
+    want = q_rook_poly(tall, 1, x)
+    assert gjw_product(tall, 1, x) == want.evaluate_at_one()
+    assert garsia_remmel_product(tall, 1, x) == want
 
 
 # The memoised functions key their caches by argument type: a bool or float
