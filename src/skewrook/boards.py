@@ -5,11 +5,12 @@ A rook placement is a word: entry i is the column of the rook in row i, or
 0 for an empty row.  One enumerator, enumerate_rook_configs, walks the
 k-rook placements of a board row by row, as an iterative depth-first
 search over column bitmasks.  It returns at once when fewer than k rows
-hold a one-cell, and fills the last two rows of a search in one step.  The
-full placements of a square board (max_configs), every brute-force rook
-oracle in rooks.py, and verify's hull-characterization and order-ideal
-checks all read it.  A recursive search that yields the same words in the
-same order is kept as its oracle in tests/test_boards.py.
+or fewer than k columns hold a one-cell, and fills the last two rows of a
+search in one step.  The full placements of a square board (max_configs),
+every brute-force rook oracle in rooks.py, and verify's
+hull-characterization and order-ideal checks all read it.  A recursive
+search that yields the same words in the same order is kept as its oracle
+in tests/test_boards.py.
 
 all_skew_ferrers_boards lists every skew Ferrers board of a box from the
 definition, as the oracle of the interval-based recogniser
@@ -24,8 +25,9 @@ row (bit j-1 set means cell (i, j) is a one).  Rows and columns are
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator
 
 from .permutations import Permutation, _Record
@@ -330,11 +332,12 @@ def enumerate_rook_configs(board: Board, k: int) -> Iterator[tuple[int, ...]]:
     with one rook left yields a word for each free column at once.
 
     Two shortcuts keep the same words in the same order.  A board with
-    fewer nonempty rows than k has no placement, so the search returns
-    before it starts.  When the last two rows must both take a rook, the
-    second-last row pairs each of its free columns, left to right, with
-    each column of the last row that it leaves free, left to right, and
-    yields those words in one step instead of descending a row for each.
+    fewer nonempty rows or fewer nonempty columns than k has no placement,
+    so the search returns before it starts.  When the last two rows must
+    both take a rook, the second-last row pairs each of its free columns,
+    left to right, with each column of the last row that it leaves free,
+    left to right, and yields those words in one step instead of
+    descending a row for each.
     """
     if type(k) is not int:
         raise ValueError(f"rook count must be an int, got {k!r}")
@@ -342,7 +345,7 @@ def enumerate_rook_configs(board: Board, k: int) -> Iterator[tuple[int, ...]]:
         raise ValueError("rook count must be nonnegative")
     rows = board.rows
     m = len(rows)
-    if k > m - rows.count(0):
+    if k > m - rows.count(0) or k > reduce(or_, rows, 0).bit_count():
         return
     if k == 0:
         yield (0,) * m

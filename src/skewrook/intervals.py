@@ -21,6 +21,10 @@ from .permutations import Permutation, _Record, bruhat_leq
 from .qalgebra import (
     ZERO,
     LaurentPoly,
+    _add_dense,
+    _dense,
+    _from_dense,
+    _times_q_int,
     poly_bernoulli,
     q_factorial,
     q_stirling,
@@ -206,21 +210,26 @@ def theoremA_poincare(n: int, k: int) -> LaurentPoly:
 
         q^{(n-k)k} * sum_i S_{k+1,i+1}(1/q) S_{n-k+1,i+1}(1/q) [i]!_q^2 q^i.
 
-    Terms with i > min(k, n-k) vanish.  The result is an ordinary
-    polynomial with constant term 1 and degree k(n-k).
+    Terms with i > m = min(k, n-k) vanish.  Since [i]!_q^2 q^i is the
+    product of q [j]_q^2 over j <= i, the sum is taken by Horner's rule:
+    with c_i = S_{k+1,i+1}(1/q) S_{n-k+1,i+1}(1/q), start at acc = c_m and
+    step acc <- c_i + q [i+1]_q^2 acc for i = m-1, ..., 0.  acc is a dense
+    coefficient list, each factor [i+1]_q a linear-time window sum, so the
+    one polynomial product left per step is c_i's.  The result is an
+    ordinary polynomial with constant term 1 and degree k(n-k).
     """
     if type(n) is not int or type(k) is not int:
         raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    total = ZERO
-    for i in range(k + 1):
-        term = q_stirling(k + 1, i + 1).substitute_q_inverse()
-        term = term * q_stirling(n - k + 1, i + 1).substitute_q_inverse()
-        fact = q_factorial(i)
-        term = term * fact * fact * LaurentPoly.monomial(i)
-        total = total + term
-    return LaurentPoly.monomial((n - k) * k) * total
+    lo, acc = 0, []
+    for i in range(min(k, n - k), -1, -1):
+        if acc:
+            acc = _times_q_int(_times_q_int(acc, i + 1), i + 1)
+            lo += 1
+        c = (q_stirling(k + 1, i + 1) * q_stirling(n - k + 1, i + 1)).substitute_q_inverse()
+        lo = _add_dense(lo, acc, *_dense(c))
+    return _from_dense(lo + (n - k) * k, acc)
 
 
 def theorem8_counts(n: int, k: int) -> tuple[int, int, int]:

@@ -14,8 +14,10 @@ checked.
 
 A product by [j]_q on a dense coefficient list is a window sum of width j,
 taken as a difference of prefix sums in linear time (_times_q_int), not a
-schoolbook product.  q_factorial's fill and every step of the q-Stirling
-triangle run on it; the triangle still stores LaurentPoly entries.
+schoolbook product, and one dense list is added into another at an
+exponent offset by _add_dense.  q_factorial's fill, every step of the
+q-Stirling triangle and the Horner sum of intervals.theoremA_poincare run
+on them; the triangle still stores LaurentPoly entries.
 
 All value types are immutable, so they are safe to share between threads.
 The memoised families (q_factorial, q_stirling, stirling2) sit behind
@@ -416,7 +418,7 @@ def _poly_from_digits(digits: int | list[int], width: int = 0) -> LaurentPoly:
     by _unpack.  Zero digits are dropped; no digit is checked again."""
     if type(digits) is int:
         digits = _unpack(digits, width)
-    return _wrap({e: c for e, c in enumerate(digits) if c})
+    return _from_dense(0, digits)
 
 
 # -- q-analogues -------------------------------------------------------------
@@ -545,6 +547,35 @@ def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     return lo, [coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)]
 
 
+def _from_dense(lo: int, coeffs: list[int]) -> LaurentPoly:
+    """The LaurentPoly sum_i coeffs[i] q^(lo + i) of a dense list the
+    library computed; zero entries are dropped, none is checked again."""
+    return _wrap({e: c for e, c in enumerate(coeffs, lo) if c})
+
+
+def _add_dense(lo: int, out: list[int], lo_d: int, d: list[int]) -> int:
+    """Add the dense list d, whose entry 0 sits at exponent lo_d, into the
+    dense list out, whose entry 0 sits at exponent lo, and return the
+    exponent of out's entry 0 afterwards.
+
+    out is changed in place and grows at either end to hold d: leading
+    zeros when d starts below lo, trailing zeros when d ends past out.  An
+    empty d leaves out as it is, and an empty out becomes a copy of d.
+    """
+    if not d:
+        return lo
+    if not out:
+        out[:] = d
+        return lo_d
+    s = lo_d - lo
+    if s < 0:
+        out[:0] = [0] * -s
+        lo, s = lo_d, 0
+    out.extend([0] * (s + len(d) - len(out)))
+    out[s:s + len(d)] = map(add, out[s:s + len(d)], d)
+    return lo
+
+
 def _q_stirling_step(j: int, diag: LaurentPoly, up: LaurentPoly) -> LaurentPoly:
     """q^(j-1) diag + [j]_q up, added as dense coefficient lists."""
     if not up:
@@ -553,15 +584,8 @@ def _q_stirling_step(j: int, diag: LaurentPoly, up: LaurentPoly) -> LaurentPoly:
     lo_d, d = _dense(diag)
     lo, out = _dense(up)
     out = _times_q_int(out, j)
-    if d:
-        # diag's coefficients land at offset s of out, which grows to hold them
-        s = lo_d + j - 1 - lo
-        if s < 0:
-            out[:0] = [0] * -s
-            lo, s = lo + s, 0
-        out.extend([0] * (s + len(d) - len(out)))
-        out[s:s + len(d)] = map(add, out[s:s + len(d)], d)
-    return _wrap({e: c for e, c in enumerate(out, lo) if c})
+    lo = _add_dense(lo, out, lo_d + j - 1, d)
+    return _from_dense(lo, out)
 
 
 @lru_cache(maxsize=None, typed=True)

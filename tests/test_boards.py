@@ -292,6 +292,14 @@ def test_enumerate_rook_configs_frozen():
     assert list(enumerate_rook_configs(ones(2, 2), 3)) == []
 
 
+def test_enumerate_rook_configs_frozen_with_an_empty_column():
+    # every row holds a one-cell, but only columns 1 and 3 do
+    b = Board.parse("#.#\n#..\n..#")
+    assert list(enumerate_rook_configs(b, 3)) == []
+    assert list(enumerate_rook_configs(b, 2)) == [(1, 0, 3), (3, 1, 0), (0, 1, 3)]
+    assert list(enumerate_rook_configs(Board.parse("#.\n#."), 2)) == []
+
+
 def recursive_placements(board, k):
     """Oracle for enumerate_rook_configs: the recursive search it replaced.
     Each row tries its free columns left to right, then is left empty while

@@ -40,7 +40,7 @@ from skewrook.permutations import (
     bruhat_leq,
     poincare_brute,
 )
-from skewrook.qalgebra import ONE, LaurentPoly, stirling2
+from skewrook.qalgebra import ONE, ZERO, LaurentPoly, q_factorial, q_stirling, stirling2
 
 P = Permutation.from_text
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -320,6 +320,26 @@ def test_theoremA_matches_the_rook_route_beyond_brute_force():
         for k in range(1, n):
             rook = poincare_via_rook(Permutation.identity(n), max_coset_rep_A(n, k).w)
             assert theoremA_poincare(n, k) == rook, (n, k)
+
+
+def test_theoremA_matches_the_paper_sum_by_products():
+    """The Horner route against the paper's sum taken term by term with
+    LaurentPoly products, i running over 0..k, for all 1 <= k < n <= 30."""
+    for n in range(2, 31):
+        for k in range(1, n):
+            total = ZERO
+            for i in range(k + 1):
+                term = q_stirling(k + 1, i + 1).substitute_q_inverse()
+                term = term * q_stirling(n - k + 1, i + 1).substitute_q_inverse()
+                term = term * q_factorial(i) * q_factorial(i) * LaurentPoly.monomial(i)
+                total = total + term
+            assert theoremA_poincare(n, k) == LaurentPoly.monomial(k * (n - k)) * total, (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(60, 30), (61, 20)])
+def test_theoremA_at_one_matches_the_counting_dp_far_out(n, k):
+    value = theoremA_poincare(n, k).evaluate_at_one()
+    assert value == count_lower_interval_dp(max_coset_rep_A(n, k))
 
 
 def test_counting_dp_matches_the_rook_route_on_every_rep():

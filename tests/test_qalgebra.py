@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 
 from skewrook.qalgebra import (
     BiPoly,
+    _add_dense,
+    _dense,
+    _from_dense,
     _poly_from_digits,
     _q_stirling_step,
     _stirling2_row,
@@ -387,6 +390,34 @@ def test_times_q_int_is_the_product_by_q_int():
             assert len(out) == len(coeffs) + j - 1
             assert _poly_from_digits(out) == _poly_from_digits(coeffs) * q_int(j)
         assert coeffs == kept
+
+
+def test_add_dense_grows_the_target_at_either_end():
+    # a negative offset: d starts below out
+    out = [1, 2, 3]
+    assert _add_dense(5, out, 3, [7]) == 3 and out == [7, 0, 1, 2, 3]
+    # d longer than out, past both of its ends
+    out = [1, 1]
+    assert _add_dense(0, out, -1, [1, 1, 1, 1, 1]) == -1 and out == [1, 2, 2, 1, 1]
+    # d past the end of out, with a gap
+    out = [1]
+    assert _add_dense(0, out, 2, [4, 5]) == 0 and out == [1, 0, 4, 5]
+
+
+def test_add_dense_with_an_empty_operand():
+    out = [1, 2]
+    assert _add_dense(4, out, -9, []) == 4 and out == [1, 2]
+    out, d = [], [3, 0, 4]
+    assert _add_dense(0, out, -2, d) == -2 and out == d and out is not d
+    out = []
+    assert _add_dense(6, out, 0, []) == 6 and out == []
+
+
+@given(laurent_polys, laurent_polys)
+def test_add_dense_is_polynomial_addition(a, b):
+    lo, out = _dense(a)
+    lo = _add_dense(lo, out, *_dense(b))
+    assert _from_dense(lo, out) == a + b
 
 
 @given(st.integers(1, 6), laurent_polys, laurent_polys)
