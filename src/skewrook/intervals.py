@@ -133,12 +133,25 @@ class CosetRepA(_Record):
         object.__setattr__(self, "w", w)
 
 
-def max_coset_rep_A(n: int, k: int) -> CosetRepA:
-    """The longest representative: word (n-k+1, ..., n, 1, ..., n-k)."""
+def _check_n_and_k(n: int, k: int) -> None:
+    """Refuse (n, k) unless both are ints, not bools, and 1 <= k <= n-1."""
     if type(n) is not int or type(k) is not int:
         raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
+
+
+def _check_size(n: int, least: int) -> None:
+    """Refuse a size n that is not an int, a bool included, or is below least."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < least:
+        raise ValueError(f"need n >= {least}")
+
+
+def max_coset_rep_A(n: int, k: int) -> CosetRepA:
+    """The longest representative: word (n-k+1, ..., n, 1, ..., n-k)."""
+    _check_n_and_k(n, k)
     word = tuple(range(n - k + 1, n + 1)) + tuple(range(1, n - k + 1))
     return CosetRepA(n, k, Permutation(word))
 
@@ -146,10 +159,7 @@ def max_coset_rep_A(n: int, k: int) -> CosetRepA:
 def coset_reps_A(n: int, k: int) -> Iterator[CosetRepA]:
     """All representatives for the given n and k, in lexicographic order of
     the first increasing run."""
-    if type(n) is not int or type(k) is not int:
-        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
+    _check_n_and_k(n, k)
     universe = range(1, n + 1)
     for first in itertools.combinations(universe, k):
         rest = tuple(v for v in universe if v not in first)
@@ -218,10 +228,7 @@ def theoremA_poincare(n: int, k: int) -> LaurentPoly:
     one polynomial product left per step is c_i's.  The result is an
     ordinary polynomial with constant term 1 and degree k(n-k).
     """
-    if type(n) is not int or type(k) is not int:
-        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
+    _check_n_and_k(n, k)
     lo, acc = 0, []
     for i in range(min(k, n - k), -1, -1):
         if acc:
@@ -238,10 +245,7 @@ def theorem8_counts(n: int, k: int) -> tuple[int, int, int]:
     first two are independent; by Kaneko's formula the alternating sum
     (-1)^k sum_i (-1)^i (i+1)^(n-k) i! S(k, i) is B_k^(k-n) itself, so
     poly_bernoulli computes it once for the last two places."""
-    if type(n) is not int or type(k) is not int:
-        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
+    _check_n_and_k(n, k)
     symmetric = sum(
         stirling2(k + 1, i + 1) * stirling2(n - k + 1, i + 1) * factorial(i) ** 2
         for i in range(k + 1)
@@ -255,10 +259,7 @@ def aztec_interval_size(n: int) -> int:
     representative w of the symmetric group on 2n letters; the enclosing
     board is the order-n Aztec diamond and the count is 2^n.  Coset
     representatives avoid the four patterns, so the guard always passes."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_size(n, 1)
     w = max_coset_rep_A(2 * n, n).w
     return poincare_via_rook(w.flip_ud(), w).evaluate_at_one()
 
@@ -296,20 +297,14 @@ def rank_B(s: SignedPermutation) -> int:
 def max_coset_rep_B(n: int) -> SignedPermutation:
     """The longest representative modulo the parabolic subgroup generated by
     everything but the sign generator: the word (n+1, ..., 2n, 1, ..., n)."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_size(n, 1)
     word = tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1))
     return SignedPermutation(Permutation(word))
 
 
 def symmetric_permutations(n: int) -> Iterator[SignedPermutation]:
     """All 2^n n! rotationally symmetric permutations of 2n letters."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError("need n >= 0")
+    _check_size(n, 0)
     size = 2 * n
     for half in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((False, True), repeat=n):
@@ -327,10 +322,7 @@ def theoremB_poincare(n: int) -> LaurentPoly:
 
         q^{binom(n+1,2)} * sum_i S_{n+1,i+1}(1/q) [i]!_q.
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_size(n, 1)
     total = ZERO
     for i in range(n + 1):
         total = total + q_stirling(n + 1, i + 1).substitute_q_inverse() * q_factorial(i)

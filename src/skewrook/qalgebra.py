@@ -58,6 +58,11 @@ _DECIMAL_RE = re.compile(r"0|-?[1-9][0-9]*")
 CoeffSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
+def _immutable(self, *args):
+    """__setattr__ and __delattr__ of the polynomial types."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class LaurentPoly:
     """Laurent polynomial in q with integer coefficients, kept canonical.
 
@@ -94,8 +99,7 @@ class LaurentPoly:
                     del acc[e]
         object.__setattr__(self, "_coeffs", acc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return type(self), (self._coeffs,)
@@ -349,8 +353,7 @@ class BiPoly:
                     del acc[e]
         object.__setattr__(self, "_coeffs", acc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return type(self), (self._coeffs,)
@@ -412,15 +415,6 @@ def _unpack(packed: int, width: int) -> list[int]:
     return [int(bits[max(i - width, 0):i], 2) for i in range(len(bits), 0, -width)]
 
 
-def _poly_from_digits(digits: int | list[int], width: int = 0) -> LaurentPoly:
-    """The LaurentPoly sum c_e q^e of digits c_0, c_1, ... the library
-    computed: a dense coefficient list, or a packed int and its width, read
-    by _unpack.  Zero digits are dropped; no digit is checked again."""
-    if type(digits) is int:
-        digits = _unpack(digits, width)
-    return _from_dense(0, digits)
-
-
 # -- q-analogues -------------------------------------------------------------
 
 
@@ -473,7 +467,7 @@ def q_factorial(i: int) -> LaurentPoly:
             coeffs = _times_q_int(coeffs, j)
         if i > _Q_FACTORIAL_TOP[0]:
             _Q_FACTORIAL_TOP[:] = [i, coeffs]
-    return _poly_from_digits(coeffs)
+    return _from_dense(0, coeffs)
 
 
 def q_falling(x: int, k: int) -> LaurentPoly:
@@ -517,6 +511,15 @@ _STIRLING2_TABLE: list[list[int]] = [[1]]
 _STIRLING2_LOCK = Lock()
 
 
+def _check_triangle_index(name: str, n: int, k: int) -> None:
+    """Refuse a row index n that is not a nonnegative int, or a column index
+    k that is not an int, a bool included; name is the caller's."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} needs a nonnegative row index")
+    if type(k) is not int:
+        raise ValueError(f"{name} needs an int column index")
+
+
 @lru_cache(maxsize=None, typed=True)
 def q_stirling(n: int, k: int) -> LaurentPoly:
     """q-Stirling number of the second kind S_{n,k}(q).
@@ -528,10 +531,7 @@ def q_stirling(n: int, k: int) -> LaurentPoly:
     fills in about 2.5 s on a 2-core VM (Python 3.11.7).  Every entry below
     the deepest row asked for is kept, so memory still grows with the depth.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError("q_stirling needs a nonnegative row index")
-    if type(k) is not int:
-        raise ValueError("q_stirling needs an int column index")
+    _check_triangle_index("q_stirling", n, k)
     if not 1 <= k <= n:
         return ONE if n == k == 0 else ZERO
     return _triangle_entry(_Q_STIRLING_TABLE, _Q_STIRLING_LOCK, _q_stirling_step, ZERO, n, k)
@@ -596,10 +596,7 @@ def stirling2(n: int, k: int) -> int:
     independently of q_stirling; the two are tied together by a test at
     q = 1.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError("stirling2 needs a nonnegative row index")
-    if type(k) is not int:
-        raise ValueError("stirling2 needs an int column index")
+    _check_triangle_index("stirling2", n, k)
     if not 1 <= k <= n:
         return int(n == k == 0)
     return _triangle_entry(
@@ -644,7 +641,7 @@ def poly_bernoulli(n: int, k: int) -> int:
         raise ValueError("poly_bernoulli needs an integer lower index")
     if n < 0:
         raise ValueError("poly_bernoulli needs a nonnegative lower index")
-    if not isinstance(k, int) or isinstance(k, bool):
+    if type(k) is not int:
         raise ValueError("poly_bernoulli needs an integer upper index")
     if k > 0:
         raise ValueError("positive upper index is not supported")

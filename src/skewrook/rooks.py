@@ -71,7 +71,8 @@ from .qalgebra import (
     q_factorial,
     q_int,
     q_stirling,
-    _poly_from_digits,
+    _from_dense,
+    _unpack,
 )
 
 __all__ = [
@@ -262,7 +263,7 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
                 key_ = key ^ bit
                 nxt[key_] = nxt.get(key_, 0) + (value << width * (key & (bit - 1)).bit_count())
         states = nxt
-    return _poly_from_digits(sum(states.values()), width)
+    return _from_dense(0, _unpack(sum(states.values()), width))
 
 
 def q_rook_number(board: Board, k: int) -> LaurentPoly:
@@ -310,19 +311,25 @@ def q_rook_poly(board: Board, n: int, x: int) -> LaurentPoly:
     return total
 
 
+def _check_factored(board: Board, n: int, x: int, align: str) -> tuple[int, ...]:
+    """The column heights of a board, after refusing a non-int index or
+    argument, a board not Ferrers on the align side, then n != width."""
+    _check_index_and_argument(n, x)
+    if not board.is_ferrers(align):
+        raise ValueError(f"board is not a {align}-aligned Ferrers matrix")
+    if n != board.width:
+        raise ValueError("polynomial index must equal the board width")
+    return board.col_lengths()
+
+
 def gjw_product(board: Board, n: int, x: int) -> int:
     """Factored nth rook polynomial of a right-aligned Ferrers board at q=1.
 
     Product over columns of (x + c_j - j + 1) where c_j is the column
     height.  Agrees with q_rook_poly at q=1.
     """
-    _check_index_and_argument(n, x)
-    if not board.is_ferrers("right"):
-        raise ValueError("board is not a right-aligned Ferrers matrix")
-    if n != board.width:
-        raise ValueError("polynomial index must equal the board width")
     result = 1
-    for j, c in enumerate(board.col_lengths(), start=1):
+    for j, c in enumerate(_check_factored(board, n, x, "right"), start=1):
         result *= x + c - j + 1
     return result
 
@@ -334,13 +341,9 @@ def garsia_remmel_product(board: Board, n: int, x: int) -> LaurentPoly:
     the number of zero-entries.  Factors may be q-integers of negative
     argument, so the result is genuinely Laurent before cancellation.
     """
-    _check_index_and_argument(n, x)
-    if not board.is_ferrers("left"):
-        raise ValueError("board is not a left-aligned Ferrers matrix")
-    if n != board.width:
-        raise ValueError("polynomial index must equal the board width")
+    heights = _check_factored(board, n, x, "left")
     result = LaurentPoly.monomial(board.count_zeros())
-    for j, c in enumerate(board.col_lengths(), start=1):
+    for j, c in enumerate(heights, start=1):
         result = result * q_int(x + c + j - n)
     return result
 
@@ -444,7 +447,7 @@ def rb_polynomial(board: Board) -> BiPoly:
     by_neg = [0] * (n + 1)
     for key, packed in states.items():
         by_neg[(key >> (size + n)).bit_count()] += packed
-    return BiPoly((t, _poly_from_digits(p, width)) for t, p in enumerate(by_neg))
+    return BiPoly((t, _from_dense(0, _unpack(p, width))) for t, p in enumerate(by_neg))
 
 
 def sharp_rb(a: Board) -> BiPoly:

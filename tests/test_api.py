@@ -137,6 +137,20 @@ def test_records_keep_their_dataclass_behaviour(fields, record, text):
     assert getattr(record, name) == fields[name]
 
 
+@pytest.mark.parametrize(
+    "value",
+    [qalgebra.LaurentPoly({0: 1, 2: -3}), qalgebra.BiPoly({1: qalgebra.Q})],
+    ids=["LaurentPoly", "BiPoly"],
+)
+def test_polynomials_refuse_attribute_deletion(value):
+    # as the records do: a deleted _coeffs would leave a value every later
+    # use of which raises
+    items = value.items()
+    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+        del value._coeffs
+    assert value.items() == items and hash(value) == hash(items)
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names bound by an import in the file and never read there."""
     tree = ast.parse(path.read_text())

@@ -21,7 +21,6 @@ from skewrook.qalgebra import (
     _add_dense,
     _dense,
     _from_dense,
-    _poly_from_digits,
     _q_stirling_step,
     _stirling2_row,
     _times_q_int,
@@ -388,7 +387,7 @@ def test_times_q_int_is_the_product_by_q_int():
         for j in range(1, 13):
             out = _times_q_int(coeffs, j)
             assert len(out) == len(coeffs) + j - 1
-            assert _poly_from_digits(out) == _poly_from_digits(coeffs) * q_int(j)
+            assert _from_dense(0, out) == _from_dense(0, coeffs) * q_int(j)
         assert coeffs == kept
 
 
@@ -567,26 +566,28 @@ def test_unpack_top_digit_all_ones(width):
     assert _unpack(top, width) == [top]
 
 
+# A polynomial from digits the library computed: a packed int read by
+# _unpack, as the packed rook DPs return it, or a dense list.
 def test_poly_from_digits_zero():
-    assert _poly_from_digits(0, 1) == ZERO and _poly_from_digits(0, 64).items() == ()
-    assert _poly_from_digits([]) == ZERO and _poly_from_digits([0, 0]).items() == ()
+    assert _from_dense(0, _unpack(0, 1)) == ZERO and _from_dense(0, _unpack(0, 64)).items() == ()
+    assert _from_dense(0, []) == ZERO and _from_dense(0, [0, 0]).items() == ()
 
 
 @pytest.mark.parametrize("width", [3, 40])
 def test_poly_from_digits_drops_interior_zero_digits(width):
     digits = [5, 0, 0, 7, 0, 1]
     want = {0: 5, 3: 7, 5: 1}
-    _assert_canonical(_poly_from_digits(_pack(digits, width), width), want)
-    _assert_canonical(_poly_from_digits(digits), want)
-    _assert_canonical(_poly_from_digits([0, 0, 2, 0]), {2: 2})
+    _assert_canonical(_from_dense(0, _unpack(_pack(digits, width), width)), want)
+    _assert_canonical(_from_dense(0, digits), want)
+    _assert_canonical(_from_dense(0, [0, 0, 2, 0]), {2: 2})
 
 
 @pytest.mark.parametrize("width", [1, 5, 8, 13, 64, 100])
 def test_poly_from_digits_top_digit_all_ones(width):
     top = (1 << width) - 1
     digits = [top, 0, 1, top]
-    _assert_canonical(_poly_from_digits(_pack(digits, width), width), {0: top, 2: 1, 3: top})
-    _assert_canonical(_poly_from_digits(top, width), {0: top})
+    _assert_canonical(_from_dense(0, _unpack(_pack(digits, width), width)), {0: top, 2: 1, 3: top})
+    _assert_canonical(_from_dense(0, _unpack(top, width)), {0: top})
 
 
 def test_q_factorial_is_canonical():

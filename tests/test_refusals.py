@@ -2,6 +2,7 @@
 own exception type and message, raised before any work is done."""
 
 import inspect
+from enum import IntEnum
 
 import pytest
 
@@ -62,6 +63,16 @@ TOO_WIDE = f"board width must be in 0..{MAX_WIDTH}"
 NOT_INTS = "n and k must be ints"
 NOT_INT = "n must be an int"
 NOT_INT_ARGS = "polynomial index and argument must be ints"
+NOT_RANGE = "need 1 <= k <= n-1"
+NOT_INDEX_WIDTH = "polynomial index must equal the board width"
+NOT_RIGHT = Board.parse("#.\n##")  # not right-aligned Ferrers
+NOT_LEFT = Board.parse(".#\n##")  # not left-aligned Ferrers
+
+
+class Index(IntEnum):
+    MINUS_TWO = -2
+    THREE = 3
+
 
 REFUSALS = [
     (full_placement_q_poly, (ones(2, 3),), ValueError, "need a square board"),
@@ -94,6 +105,17 @@ REFUSALS = [
     (poincare_B_via_rook, (True,), ValueError, NOT_INT),
     (poincare_B_brute, (2.0,), ValueError, NOT_INT),
     (poincare_B_brute, (True,), ValueError, NOT_INT),
+    # the range branch of each shared size guard, at every call site
+    (max_coset_rep_A, (3, 0), ValueError, NOT_RANGE),
+    (max_coset_rep_A, (3, 3), ValueError, NOT_RANGE),
+    (theoremA_poincare, (3, 0), ValueError, NOT_RANGE),
+    (theoremA_poincare, (3, 3), ValueError, NOT_RANGE),
+    (theorem8_counts, (3, 0), ValueError, NOT_RANGE),
+    (theorem8_counts, (3, 3), ValueError, NOT_RANGE),
+    (aztec_interval_size, (0,), ValueError, "need n >= 1"),
+    (max_coset_rep_B, (0,), ValueError, "need n >= 1"),
+    (theoremB_poincare, (0,), ValueError, "need n >= 1"),
+    (symmetric_permutations, (-2,), ValueError, "need n >= 0"),
     (Permutation.identity, (-1,), ValueError, "size must be nonnegative"),
     (Permutation.identity, (2.5,), ValueError, "size must be an int, got 2.5"),
     (Permutation.identity, (True,), ValueError, "size must be an int, got True"),
@@ -159,6 +181,12 @@ REFUSALS = [
     (poly_bernoulli, (2.5, 0), ValueError, "integer lower index"),
     (poly_bernoulli, (True, 0), ValueError, "integer lower index"),
     (poly_bernoulli, (2, 1.5), ValueError, "integer upper index"),
+    (poly_bernoulli, (3, Index.MINUS_TWO), ValueError, "integer upper index"),
+    (poly_bernoulli, (Index.THREE, -2), ValueError, "integer lower index"),
+    (q_stirling, (-2, 1.5), ValueError, "q_stirling needs a nonnegative row index"),
+    (q_stirling, (3, 1.5), ValueError, "q_stirling needs an int column index"),
+    (stirling2, (-2, 1.5), ValueError, "stirling2 needs a nonnegative row index"),
+    (stirling2, (3, 1.5), ValueError, "stirling2 needs an int column index"),
     (LaurentPoly, ({1.5: 1},), TypeError, "exponent must be int, got 1.5"),
     (LaurentPoly, ({0: 1.5},), TypeError, "coefficient must be int, got 1.5"),
     (LaurentPoly.monomial, (1.5,), TypeError, "exponent must be int, got 1.5"),
@@ -174,6 +202,14 @@ REFUSALS = [
     (gjw_product, (ones(1, 1), True, 0), ValueError, f"{NOT_INT_ARGS}, got True and 0"),
     (garsia_remmel_product, (SQUARE, 2, True), ValueError, f"{NOT_INT_ARGS}, got 2 and True"),
     (garsia_remmel_product, (SQUARE, 2.0, 1), ValueError, f"{NOT_INT_ARGS}, got 2.0 and 1"),
+    # the factored products refuse a non-int, then the board's shape, then
+    # an index other than its width
+    (gjw_product, (NOT_RIGHT, 3.0, 1), ValueError, f"{NOT_INT_ARGS}, got 3.0 and 1"),
+    (gjw_product, (NOT_RIGHT, 3, 1), ValueError, "board is not a right-aligned Ferrers matrix"),
+    (gjw_product, (SQUARE, 3, 1), ValueError, NOT_INDEX_WIDTH),
+    (garsia_remmel_product, (NOT_LEFT, 3.0, 1), ValueError, f"{NOT_INT_ARGS}, got 3.0 and 1"),
+    (garsia_remmel_product, (NOT_LEFT, 3, 1), ValueError, "board is not a left-aligned Ferrers matrix"),
+    (garsia_remmel_product, (SQUARE, 3, 1), ValueError, NOT_INDEX_WIDTH),
     (q_rook_poly, (SQUARE, True, 0), ValueError, f"{NOT_INT_ARGS}, got True and 0"),
     (q_rook_poly, (SQUARE, 2, True), ValueError, f"{NOT_INT_ARGS}, got 2 and True"),
     (q_rook_poly, (SQUARE, 0, 1.5), ValueError, f"{NOT_INT_ARGS}, got 0 and 1.5"),
