@@ -160,14 +160,7 @@ class Board(_Record):
         more than MAX_WIDTH rows has no transpose, so it is refused."""
         if len(self.rows) > MAX_WIDTH:
             raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
-        cols = [0] * self.width
-        for i, mask in enumerate(self.rows):
-            bit = 1 << i
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                cols[low.bit_length() - 1] |= bit
-        return Board._trusted(tuple(cols), len(self.rows))
+        return Board._trusted(_transpose_masks(self.rows, self.width), len(self.rows))
 
     def flip_ud(self) -> "Board":
         return Board._trusted(self.rows[::-1], self.width)
@@ -236,6 +229,20 @@ class Board(_Record):
 
     def __str__(self):
         return self.to_text()
+
+
+def _transpose_masks(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """The column masks of the rows (bit i of entry j set when row i has a
+    one in column j + 1), for any number of rows; Board.transpose and the
+    rook DPs read them."""
+    cols = [0] * width
+    for i, mask in enumerate(rows):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            cols[low.bit_length() - 1] |= bit
+    return tuple(cols)
 
 
 def _revbits(mask: int, width: int) -> int:

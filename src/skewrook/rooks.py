@@ -20,7 +20,14 @@ suite plays them against each other:
   _word_inv to it;
 * the bottom-up table, _q_rook_table, a column-mask DP that yields every
   q-rook number of a board at once and is cached per board.  Rook numbers
-  are this table at q = 1;
+  are this table at q = 1.  The table scans the board or its transpose,
+  whichever has the smaller bound on live column masks (ties keep the
+  rows): the sum over the lines scanned of sum_{k <= r} C(c, k), where r
+  lines from the bottom touch c columns.  The two tables are equal, since
+  a cell counts for inv exactly when its row at or right of it and its
+  column at or below it hold no rook, and transposing swaps the two.  A
+  wide board is scanned down its columns: ones(3, 64) then takes 64 steps
+  of at most 8 states;
 * the top-down full-placement DP, full_placement_q_poly, for the n-rook
   number of an n x n board, also cached per board.
 
@@ -61,8 +68,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
+from math import comb
+from operator import or_
+from typing import Iterable
 
-from .boards import Board, enumerate_rook_configs
+from .boards import Board, _transpose_masks, enumerate_rook_configs
 from .qalgebra import (
     ONE,
     ZERO,
@@ -143,9 +154,59 @@ def q_rook_number_brute(board: Board, k: int) -> LaurentPoly:
     return LaurentPoly(Counter(_word_inv(word, board.width) for word in words))
 
 
+def _scan_bound(touched: Iterable[int]) -> int:
+    """A bound on the live states of a bottom-up column-mask scan, summed
+    over its lines.  touched gives, after each line, the number c of
+    columns that the lines so far touch, so it never falls.  After r lines
+    a state is a set of at most r of those c columns: there are at most
+    sum_{k <= r} C(c, k).  Raising r adds C(c, r), and raising c doubles the
+    sum less C(c, r) (Pascal's rule), so each line and each newly touched
+    column costs one binomial."""
+    total = r = c = 0
+    live = 1  # sum_{k <= r} C(c, k)
+    for now in touched:
+        r += 1
+        live += comb(c, r)
+        for j in range(c, now):
+            live = 2 * live - comb(j, r)
+        c = now
+        total += live
+    return total
+
+
 @lru_cache(maxsize=4096)
 def _q_rook_table(rows: tuple[int, ...], width: int) -> tuple[LaurentPoly, ...]:
-    """All q-rook numbers of a board at once, indexed by rook count.
+    """All q-rook numbers of a board at once, indexed by rook count, from
+    _q_rook_scan over the board or its transpose, whichever has the smaller
+    _scan_bound; a tie keeps the rows (_scans_transpose).
+
+    Both scans give the same table: a cell counts for inv exactly when no
+    rook lies in its own row at or right of it, nor in its own column at or
+    below it, and transposing swaps the row part with the column part.  The
+    board's bound reads the columns that its bottom r rows touch.  The
+    transpose's bound scans the board's columns from the right, and the r
+    rightmost columns touch the rows whose highest one-cell lies among
+    them.  Both bounds come from the row masks in O(m + n), and only a
+    chosen transpose is built.
+    """
+    if _scans_transpose(rows, width):
+        return _q_rook_scan(_transpose_masks(rows, width), len(rows))
+    return _q_rook_scan(rows, width)
+
+
+def _scans_transpose(rows: tuple[int, ...], width: int) -> bool:
+    """Whether the transpose's _scan_bound is below the board's."""
+    # highest[j]: the number of rows whose last one-cell is column j
+    highest = [0] * (width + 1)
+    for mask in rows:
+        highest[mask.bit_length()] += 1
+    return _scan_bound(accumulate(highest[:0:-1])) < _scan_bound(
+        map(int.bit_count, accumulate(reversed(rows), or_))
+    )
+
+
+def _q_rook_scan(rows: tuple[int, ...], width: int) -> tuple[LaurentPoly, ...]:
+    """The column-mask DP behind _q_rook_table.
 
     Scans rows bottom to top carrying, for each set of columns holding rooks
     in the rows already processed, the q-polynomial of the placements that
@@ -205,11 +266,14 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
     n = board.height
     if board.width != n:
         raise ValueError("full placements need a square board")
-    rows, cols = board.rows, board.transpose().rows
+    rows = board.rows
     bound = 1
     for i, mask in enumerate(rows):
         bound *= min(mask.bit_count(), n - i)
-    if not bound or not all(cols):
+    if not bound:
+        return ZERO
+    cols = _transpose_masks(rows, n)
+    if not all(cols):
         return ZERO
     width = bound.bit_length()
     repunits = [0]  # repunits[m] packs [m]_q

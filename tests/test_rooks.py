@@ -21,7 +21,10 @@ from skewrook.boards import (
 from skewrook.permutations import Permutation
 from skewrook.qalgebra import ONE, ZERO, BiPoly, LaurentPoly, q_factorial, q_falling
 from skewrook.rooks import (
+    _q_rook_scan,
     _q_rook_table,
+    _scan_bound,
+    _scans_transpose,
     _word_inv,
     full_placement_q_poly,
     garsia_remmel_product,
@@ -223,6 +226,88 @@ def test_board_at_max_width():
         assert rook_number(b, k) == math.comb(3, k) * math.perm(MAX_WIDTH, k)
 
 
+def _random_rect(rng, m, n, density):
+    return Board(
+        tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(m)), n
+    )
+
+
+def test_scan_bound_sums_the_live_masks():
+    """After r lines touching c columns a scan holds at most
+    sum_{k <= r} C(c, k) masks; the bound sums that over the lines."""
+    rng = random.Random(30)
+    for _ in range(500):
+        touched = list(itertools.accumulate(rng.randint(0, 4) for _ in range(rng.randint(0, 12))))
+        want = sum(sum(math.comb(c, k) for k in range(r + 1))
+                   for r, c in enumerate(touched, start=1))
+        assert _scan_bound(touched) == want, touched
+    # ones(3, 64) down its rows, then down its columns
+    assert _scan_bound([64] * 3) == 65 + 2081 + 43745
+    assert _scan_bound([3] * 64) == 4 + 7 + 62 * 8
+    assert _scans_transpose(ones(3, 64).rows, 64) and not _scans_transpose(ones(64, 3).rows, 3)
+    # a tie keeps the rows
+    assert not _scans_transpose(ones(4, 4).rows, 4)
+    assert not _scans_transpose(T2.rows, 2)
+
+
+def test_q_rook_numbers_are_transpose_invariant():
+    """R_k(B) = R_k(B^T): a cell counts for inv when its row at or right of
+    it and its column at or below it hold no rook, and transposing swaps
+    the two.  The table picks one side, so the scan runs on both here."""
+    rng = random.Random(31)
+    for m in range(8):
+        for n in range(8):
+            for _ in range(3):
+                b = _random_rect(rng, m, n, rng.random())
+                t = b.transpose()
+                assert _q_rook_scan(b.rows, n) == _q_rook_scan(t.rows, m), b.to_text()
+                for k in range(min(m, n) + 1):
+                    assert q_rook_number(b, k) == q_rook_number(t, k), (b.to_text(), k)
+
+
+def test_table_matches_enumeration_up_to_4x4():
+    """Every board with at most 9 cells and 134 seeded boards each of 3 x 4,
+    4 x 3 and 4 x 4, on whichever side the table scans."""
+    cases = [Board(rows, n) for m in range(5) for n in range(5) if m * n <= 9
+             for rows in itertools.product(range(1 << n), repeat=m)]
+    rng = random.Random(32)
+    cases += [_random_rect(rng, m, n, rng.random())
+              for m, n in [(3, 4), (4, 3), (4, 4)] for _ in range(134)]
+    for b in cases:
+        m, n = b.dims
+        for k in range(min(m, n) + 1):
+            assert q_rook_number(b, k) == q_rook_number_brute(b, k), (b.to_text(), k)
+    transposed = sum(_scans_transpose(b.rows, b.width) for b in cases)
+    assert 100 < transposed < len(cases) - 100
+
+
+def test_boards_of_more_than_64_rows():
+    """Seeded 65 x 3 boards: a dense one is scanned down its rows, and a
+    sparse one down its columns, through a 3 x 65 transpose that Board
+    would refuse."""
+    rng = random.Random(33)
+    dense = Board(tuple(rng.randrange(8) for _ in range(65)), 3)
+    sparse = Board(tuple(rng.randrange(8) if rng.random() < 0.1 else 0 for _ in range(65)), 3)
+    assert not _scans_transpose(dense.rows, 3) and _scans_transpose(sparse.rows, 3)
+    for b in (dense, sparse):
+        for k in range(4):
+            assert q_rook_number(b, k) == q_rook_number_brute(b, k), (b.rows, k)
+
+
+def test_wide_board_scans_its_columns():
+    """A seeded 6 x 30 board with 8 one-cells per row: its rows touch 24
+    columns, so the row scan's bound is 234,130 masks, and the column
+    scan's 1,649, at most 2^6 per line.  ones(3, 64) is held to the brute
+    oracle and the placement count in test_board_at_max_width."""
+    rng = random.Random(6)
+    b = Board(tuple(sum(1 << j for j in rng.sample(range(30), 8)) for _ in range(6)), 30)
+    assert _scans_transpose(b.rows, 30)
+    for k in range(7):
+        assert rook_number(b, k) == sum(1 for _ in enumerate_rook_configs(b, k)), k
+    for k in (1, 2):
+        assert q_rook_number(b, k) == q_rook_number_brute(b, k), k
+
+
 @given(square_boards())
 def test_full_placement_fast_path(b):
     n = b.height
@@ -232,9 +317,7 @@ def test_full_placement_fast_path(b):
 
 
 def _random_board(rng, n, density):
-    return Board(
-        tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)), n
-    )
+    return _random_rect(rng, n, n, density)
 
 
 def _orphan_early(rng, b):
