@@ -89,7 +89,7 @@ class Board(_Record):
                 raise ValueError("ragged matrix")
             mask = 0
             for j, v in enumerate(cells):
-                if v not in (0, 1):
+                if type(v) is not int or v not in (0, 1):
                     raise ValueError(f"matrix entries must be 0 or 1, got {v!r}")
                 if v:
                     mask |= 1 << j

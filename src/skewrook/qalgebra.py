@@ -15,16 +15,18 @@ checked.
 A product by [j]_q on a dense coefficient list is a window sum of width j,
 taken as a difference of prefix sums in linear time (_times_q_int), not a
 schoolbook product, and one dense list is added into another at an
-exponent offset by _add_dense.  q_factorial's fill, every step of the
+exponent offset by _add_dense.  q_factorial's climb, every step of the
 q-Stirling triangle and the Horner sum of intervals.theoremA_poincare run
 on them; the triangle still stores LaurentPoly entries.
 
-All value types are immutable, so they are safe to share between threads.
-The memoised families (q_factorial, q_stirling, stirling2) sit behind
-functools caches keyed by argument type, so a bool or float argument is
-refused whatever was cached before; racing calls can at worst duplicate a
-little work, they always return identical values.  q_factorial, q_stirling
-and stirling2 fill their tables under a lock.
+What each memo keeps: q_factorial and the Stirling rows (read by stirling2
+and poly_bernoulli alike) keep each row asked for (_kept_row); q_stirling
+keeps the trapezoid of its triangle below the deepest entry asked for; and
+the functools caches of q_factorial, q_stirling and stirling2, whose
+counters the benchmark reads, keep each value returned.  All value types
+are immutable, so they are safe to share between threads.  The caches are
+keyed by argument type, so a bool or float argument is refused whatever
+was cached before, and each memo is filled under its own lock.
 """
 
 from __future__ import annotations
@@ -444,8 +446,26 @@ def _times_q_int(coeffs: list[int], j: int) -> list[int]:
     return out
 
 
-# [m, dense coefficients of [m]!_q] for the largest m filled so far.
-_Q_FACTORIAL_TOP: list = [0, [1]]
+def _kept_row(rows: dict, n: int, step):
+    """Row n of the recurrence row m = step(row m-1, m), kept in the dict
+    rows of the rows asked for, which holds row 0; the caller holds its lock.
+
+    A missing row is climbed to in a loop, in one rolling value, from the
+    nearest kept row below it, and only row n is kept.  step must leave its
+    argument as it is.
+    """
+    row = rows.get(n)
+    if row is None:
+        m = max(r for r in rows if r < n)
+        row = rows[m]
+        for j in range(m + 1, n + 1):
+            row = step(row, j)
+        rows[n] = row
+    return row
+
+
+# Dense coefficients of [m]!_q for each m asked for.
+_Q_FACTORIALS: dict[int, list[int]] = {0: [1]}
 _Q_FACTORIAL_LOCK = Lock()
 
 
@@ -453,20 +473,17 @@ _Q_FACTORIAL_LOCK = Lock()
 def q_factorial(i: int) -> LaurentPoly:
     """[i]!_q = [1]_q [2]_q ... [i]_q.
 
-    Filled upward in a loop from the top row so far, or from [0]!_q below
-    it; the fill keeps only the top row, since [600]!_q alone has 179701
-    big coefficients, but the lru_cache keeps every LaurentPoly returned.
-    Each factor [j]_q is a window sum of width j, taken as a difference of
-    prefix sums in linear time.
+    Climbed to from the nearest [m]!_q below it that was asked for, one
+    factor [j]_q at a time, each a window sum of width j taken as a
+    difference of prefix sums in linear time (_times_q_int).  The dense
+    coefficients of every [i]!_q asked for are kept, and the lru_cache keeps
+    the LaurentPoly returned as well; [600]!_q alone has 179701 big
+    coefficients.
     """
     if type(i) is not int or i < 0:
         raise ValueError("q_factorial needs a nonnegative argument")
     with _Q_FACTORIAL_LOCK:
-        m, coeffs = _Q_FACTORIAL_TOP if i >= _Q_FACTORIAL_TOP[0] else (0, [1])
-        for j in range(m + 1, i + 1):
-            coeffs = _times_q_int(coeffs, j)
-        if i > _Q_FACTORIAL_TOP[0]:
-            _Q_FACTORIAL_TOP[:] = [i, coeffs]
+        coeffs = _kept_row(_Q_FACTORIALS, i, _times_q_int)
     return _from_dense(0, coeffs)
 
 
@@ -482,33 +499,9 @@ def q_falling(x: int, k: int) -> LaurentPoly:
     return out
 
 
-def _triangle_entry(table: list[list], lock: Lock, step, zero, n: int, k: int):
-    """Entry (n, k), 1 <= k <= n, of a Stirling-type triangle whose entry
-    (m, j) is step(j, entry(m-1, j-1), entry(m-1, j)).
-
-    table[j] holds the entries (j, j), (j+1, j), ... of column j filled so
-    far, and table[0] is [entry(0, 0)]; any other entry outside
-    1 <= j <= m is zero.  The columns are extended row by row from the
-    bottom, in a loop rather than a recursion, so no input size exhausts the
-    stack, and each entry is computed once.
-    """
-    with lock:
-        while len(table) <= k:
-            table.append([])
-        for j in range(1, k + 1):
-            left, col = table[j - 1], table[j]
-            for m in range(j + len(col), n - k + j + 1):
-                diag = left[m - j] if m - j < len(left) else zero
-                col.append(step(j, diag, col[-1] if col else zero))
-        return table[k][n - k]
-
-
-# The filled columns of the two triangles below.  Each function keeps its
-# functools cache as well, whose counters the benchmark reads.
+# Entry j holds the entries (j, j), (j+1, j), ... of column j filled so far.
 _Q_STIRLING_TABLE: list[list[LaurentPoly]] = [[ONE]]
 _Q_STIRLING_LOCK = Lock()
-_STIRLING2_TABLE: list[list[int]] = [[1]]
-_STIRLING2_LOCK = Lock()
 
 
 def _check_triangle_index(name: str, n: int, k: int) -> None:
@@ -528,13 +521,24 @@ def q_stirling(n: int, k: int) -> LaurentPoly:
     and S_{n,k} = 0 for every other (n, k) outside 1 <= k <= n.  Each step
     adds the two terms as dense coefficient lists, the second a window sum
     (_q_stirling_step), so an entry costs time linear in its length: row 100
-    fills in about 2.5 s on a 2-core VM (Python 3.11.7).  Every entry below
-    the deepest row asked for is kept, so memory still grows with the depth.
+    fills in 1.6-2.1 s on a 2-core VM (Python 3.11.7).  Entry (n, k)
+    extends each column j <= k down to row n - k + j, and the whole
+    trapezoid below the deepest entry asked for is kept, so memory grows
+    with the depth.
     """
     _check_triangle_index("q_stirling", n, k)
     if not 1 <= k <= n:
         return ONE if n == k == 0 else ZERO
-    return _triangle_entry(_Q_STIRLING_TABLE, _Q_STIRLING_LOCK, _q_stirling_step, ZERO, n, k)
+    with _Q_STIRLING_LOCK:
+        table = _Q_STIRLING_TABLE
+        while len(table) <= k:
+            table.append([])
+        for j in range(1, k + 1):
+            left, col = table[j - 1], table[j]
+            for m in range(j + len(col), n - k + j + 1):
+                diag = left[m - j] if m - j < len(left) else ZERO
+                col.append(_q_stirling_step(j, diag, col[-1] if col else ZERO))
+        return table[k][n - k]
 
 
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
@@ -592,39 +596,33 @@ def _q_stirling_step(j: int, diag: LaurentPoly, up: LaurentPoly) -> LaurentPoly:
 def stirling2(n: int, k: int) -> int:
     """Classical Stirling number of the second kind (set partition count).
 
-    Computed by its own recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1),
+    Entry k of _stirling2_row(n), computed by its own recurrence,
     independently of q_stirling; the two are tied together by a test at
-    q = 1.
+    q = 1.  The lru_cache keeps every int returned.
     """
     _check_triangle_index("stirling2", n, k)
     if not 1 <= k <= n:
         return int(n == k == 0)
-    return _triangle_entry(
-        _STIRLING2_TABLE, _STIRLING2_LOCK, lambda j, diag, up: diag + j * up, 0, n, k
-    )
+    return _stirling2_row(n)[k]
 
 
-# [m, (S(m, 0), ..., S(m, m))] for the last row built.
-_STIRLING2_ROW: list = [0, (1,)]
-_STIRLING2_ROW_LOCK = Lock()
+# (S(m, 0), ..., S(m, m)) for each row m asked for.
+_STIRLING2_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
+_STIRLING2_LOCK = Lock()
 
 
 def _stirling2_row(n: int) -> tuple[int, ...]:
     """Row n of the Stirling triangle, S(n, 0), ..., S(n, n).
 
-    Built by the stirling2 recurrence in one rolling list, upward from the
-    last row built when n is not below it and from row 0 otherwise, so only
-    one row is ever held.  The last row is kept rather than the largest:
-    callers such as the theorem8 table climb k = 1, 2, ... afresh for each
-    n, and each step then costs one row.
+    Climbed to by S(m, k) = k S(m-1, k) + S(m-1, k-1) from the nearest row
+    below it that was asked for, one rolling row at a time, so a climb
+    holds two rows; every row asked for is kept.  Callers such as the
+    theorem8 table climb k = 1, 2, ... afresh for each n, and each of their
+    rows is then built once.
     """
-    with _STIRLING2_ROW_LOCK:
-        top, row = _STIRLING2_ROW if n >= _STIRLING2_ROW[0] else (0, (1,))
-        for m in range(top + 1, n + 1):
-            row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
-        row = tuple(row)
-        _STIRLING2_ROW[:] = [n, row]
-    return row
+    with _STIRLING2_LOCK:
+        return _kept_row(_STIRLING2_ROWS, n, lambda row, m: (
+            0, *[k * row[k] + row[k - 1] for k in range(1, m)], 1))
 
 
 def poly_bernoulli(n: int, k: int) -> int:
@@ -633,9 +631,9 @@ def poly_bernoulli(n: int, k: int) -> int:
     Evaluated through the alternating sum
     (-1)^n * sum_i (-1)^i (i+1)^(-k) i! S(n,i), which is exact for every
     n >= 0 and k <= 0 and satisfies the symmetry B_n^(-m) = B_m^(-n).
-    Row n of the Stirling numbers comes from _stirling2_row, not from the
-    stirling2 table, so a large n holds one row, not the triangle above it,
-    and a run of calls with ascending n builds each row once.
+    Row n of the Stirling numbers comes from _stirling2_row, which
+    stirling2 reads as well, so a large n climbs one rolling row rather than
+    filling the triangle above it, keeps row n only, and is built once.
     """
     if type(n) is not int:
         raise ValueError("poly_bernoulli needs an integer lower index")

@@ -353,8 +353,9 @@ def test_stirling2_frozen_rows():
 
 
 def test_stirling_tables_any_access_order():
-    # the column tables against a plain top-down recursion, entries asked
-    # for in a shuffled order so that columns are extended out of turn
+    # q_stirling's column table and stirling2's kept rows against a plain
+    # top-down recursion, entries asked for in a shuffled order so that
+    # columns are extended out of turn and rows are climbed to from below
     @cache
     def top_down(n, k):
         if not 1 <= k <= n:
@@ -486,9 +487,9 @@ def test_poly_bernoulli_matches_the_stirling2_table():
 
 
 def test_stirling2_row_any_access_order_and_threads():
-    # the row helper rolls on from the last row built: rows asked for in
-    # ascending, descending, repeated and shuffled order from this thread,
-    # then in shuffled order from eight threads at once
+    # the row helper climbs from the nearest row kept below: rows asked for
+    # in ascending, descending, repeated and shuffled order from this
+    # thread, then in shuffled order from eight threads at once
     want = [tuple(stirling2(n, k) for k in range(n + 1)) for n in range(25)]
     wrong = []
 
@@ -505,6 +506,42 @@ def test_stirling2_row_any_access_order_and_threads():
     try:
         orders = [random.Random(s).sample(range(25), 25) for s in range(8)]
         workers = [threading.Thread(target=work, args=(o,)) for o in orders]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in workers)
+    assert wrong == []
+
+
+def test_row_memos_any_access_order_and_threads():
+    # stirling2, poly_bernoulli and q_factorial read kept rows, climbing to
+    # a missing one from the nearest kept row below: all three asked for in
+    # shuffled order from eight threads at once, against plain recurrences
+    size = 40
+    s2 = [[1]]
+    for n in range(1, size + 2):
+        s2.append([0] + [k * s2[-1][k] + s2[-1][k - 1] for k in range(1, n)] + [1])
+    fact = [LaurentPoly.constant(1)]
+    for i in range(1, size):
+        fact.append(fact[-1] * q_int(i))
+    calls = [(stirling2.__wrapped__, (n, k), s2[n][k]) for n in range(size) for k in range(n + 1)]
+    calls += [(poly_bernoulli, (n, -k), sum(
+        math.factorial(j) ** 2 * s2[n + 1][j + 1] * s2[k + 1][j + 1] for j in range(min(n, k) + 1)))
+        for n in range(size) for k in range(0, size, 7)]
+    calls += [(q_factorial.__wrapped__, (i,), fact[i]) for i in range(size)]
+    wrong = []
+
+    def work(seed):
+        order = random.Random(seed).sample(calls, len(calls))
+        wrong.extend((fn.__name__, args) for fn, args, want in order if fn(*args) != want)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(s,)) for s in range(8)]
         for t in workers:
             t.start()
         for t in workers:

@@ -140,6 +140,9 @@ REFUSALS = [
     (Board, ((), 2.0), ValueError, TOO_WIDE),
     (Board.from_matrix, ([[1, 0], [1]],), ValueError, "ragged matrix"),
     (Board.from_matrix, ([[1, 2]],), ValueError, "must be 0 or 1, got 2"),
+    (Board.from_matrix, ([[True, 0]],), ValueError, "must be 0 or 1, got True"),
+    (Board.from_matrix, ([[1.0, 0]],), ValueError, "must be 0 or 1, got 1.0"),
+    (Board.from_matrix, ([[1, 0.0]],), ValueError, "must be 0 or 1, got 0.0"),
     (ones, (-1, 2), ValueError, "dimensions must be nonnegative"),
     (ones, (2, -1), ValueError, "dimensions must be nonnegative"),
     (zeros, (-1, 0), ValueError, "dimensions must be nonnegative"),
