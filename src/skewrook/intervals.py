@@ -24,6 +24,7 @@ from .qalgebra import (
     _add_dense,
     _dense,
     _from_dense,
+    _mul_dense,
     _times_q_int,
     poly_bernoulli,
     q_factorial,
@@ -224,9 +225,11 @@ def theoremA_poincare(n: int, k: int) -> LaurentPoly:
     product of q [j]_q^2 over j <= i, the sum is taken by Horner's rule:
     with c_i = S_{k+1,i+1}(1/q) S_{n-k+1,i+1}(1/q), start at acc = c_m and
     step acc <- c_i + q [i+1]_q^2 acc for i = m-1, ..., 0.  acc is a dense
-    coefficient list, each factor [i+1]_q a linear-time window sum, so the
-    one polynomial product left per step is c_i's.  The result is an
-    ordinary polynomial with constant term 1 and degree k(n-k).
+    coefficient list, each factor [i+1]_q a linear-time window sum.  c_i
+    is one packed int product of the two q-Stirling entries' dense lists
+    (_mul_dense, a square when n = 2k), and q -> 1/q reverses the list and
+    negates its exponents, so no LaurentPoly product is taken.  The result
+    is an ordinary polynomial with constant term 1 and degree k(n-k).
     """
     _check_n_and_k(n, k)
     lo, acc = 0, []
@@ -234,8 +237,11 @@ def theoremA_poincare(n: int, k: int) -> LaurentPoly:
         if acc:
             acc = _times_q_int(_times_q_int(acc, i + 1), i + 1)
             lo += 1
-        c = (q_stirling(k + 1, i + 1) * q_stirling(n - k + 1, i + 1)).substitute_q_inverse()
-        lo = _add_dense(lo, acc, *_dense(c))
+        lo_a, a = _dense(q_stirling(k + 1, i + 1))
+        lo_b, b = (lo_a, a) if n == 2 * k else _dense(q_stirling(n - k + 1, i + 1))
+        c = _mul_dense(a, b)
+        c.reverse()
+        lo = _add_dense(lo, acc, 1 - lo_a - lo_b - len(c), c)
     return _from_dense(lo + (n - k) * k, acc)
 
 

@@ -21,6 +21,7 @@ from skewrook.qalgebra import (
     _add_dense,
     _dense,
     _from_dense,
+    _mul_dense,
     _q_stirling_step,
     _stirling2_row,
     _times_q_int,
@@ -601,6 +602,51 @@ def test_unpack_top_digit_all_ones(width):
     digits = [top, 0, 1, top]
     assert _unpack(_pack(digits, width), width) == digits
     assert _unpack(top, width) == [top]
+
+
+def _dict_product(a, b):
+    """The dense list of length len(a) + len(b) - 1 of the dict schoolbook
+    product of two dense lists, [] when either is empty."""
+    if not a or not b:
+        return []
+    p = _from_dense(0, a) * _from_dense(0, b)
+    return [p.coefficient(e) for e in range(len(a) + len(b) - 1)]
+
+
+def test_mul_dense_is_the_dict_product():
+    # seeded lists of unequal lengths with interior and end zeros, and
+    # coefficients up to 2^200; the second call takes the squaring path
+    rng = random.Random(32)
+    for _ in range(300):
+        a, b = (
+            [rng.choice((0, rng.getrandbits(rng.randrange(1, 201)))) for _ in range(rng.randrange(31))]
+            for _ in range(2)
+        )
+        kept = list(a), list(b)
+        assert _mul_dense(a, b) == _dict_product(a, b), (a, b)
+        assert _mul_dense(a, a) == _dict_product(a, a), a
+        assert (a, b) == kept
+
+
+def test_mul_dense_empty_and_one_entry_lists():
+    assert _mul_dense([], []) == [] and _mul_dense([], [1, 2]) == [] and _mul_dense([3], []) == []
+    assert _mul_dense([3], [5]) == [15]
+    assert _mul_dense([0], [7, 1]) == [0, 0]
+    assert _mul_dense([2], [0, 0, 5]) == [0, 0, 10]
+    assert _mul_dense([1 << 70], [1 << 65]) == [1 << 135]
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 63, 64, 65, 200])
+@pytest.mark.parametrize(("la", "lb"), [(1, 1), (1, 9), (8, 8), (9, 40)])
+def test_mul_dense_worst_carry(bits, la, lb):
+    # every entry 2^b - 1 (and 2^(b+3) - 1 in b): the middle coefficients
+    # are min(la, lb) max a max b, the most the product width must hold
+    top_a, top_b = (1 << bits) - 1, (1 << (bits + 3)) - 1
+    for a, b in (([top_a] * la, [top_a] * lb), ([top_a] * la, [top_b] * lb)):
+        want = [min(e + 1, la, lb, la + lb - 1 - e) * a[0] * b[0] for e in range(la + lb - 1)]
+        assert _mul_dense(a, b) == want == _dict_product(a, b)
+    a = [top_a] * la
+    assert _mul_dense(a, a) == _dict_product(a, a)
 
 
 # A polynomial from digits the library computed: a packed int read by
