@@ -35,6 +35,7 @@ from skewrook.intervals import (
 from skewrook.permutations import Permutation, bruhat_interval, eulerian_gf, poincare_brute
 from skewrook.qalgebra import (
     Q,
+    BiPoly,
     LaurentPoly,
     poly_bernoulli,
     q_factorial,
@@ -192,6 +193,15 @@ REFUSALS = [
     (stirling2, (3, 1.5), ValueError, "stirling2 needs an int column index"),
     (LaurentPoly, ({1.5: 1},), TypeError, "exponent must be int, got 1.5"),
     (LaurentPoly, ({0: 1.5},), TypeError, "coefficient must be int, got 1.5"),
+    # BiPoly's t-exponents, and its coefficients, which may be ints; an entry
+    # bad on both sides is refused for its exponent, which is checked first
+    (BiPoly, ({1.5: 1},), ValueError, "t-exponent must be a nonnegative int, got 1.5"),
+    (BiPoly, ({True: 1},), ValueError, "t-exponent must be a nonnegative int, got True"),
+    (BiPoly, ({-1: 1},), ValueError, "t-exponent must be a nonnegative int, got -1"),
+    (BiPoly, ({0: 1.5},), TypeError, "coefficient must be LaurentPoly or int, got 1.5"),
+    (BiPoly, ({0: True},), TypeError, "coefficient must be int, got True"),
+    (LaurentPoly, ({1.5: 1.5},), TypeError, "exponent must be int, got 1.5"),
+    (BiPoly, ({1.5: 1.5},), ValueError, "t-exponent must be a nonnegative int, got 1.5"),
     (LaurentPoly.monomial, (1.5,), TypeError, "exponent must be int, got 1.5"),
     (LaurentPoly.monomial, (True,), TypeError, "exponent must be int, got True"),
     (LaurentPoly.monomial, (0, 1.5), TypeError, "coefficient must be int, got 1.5"),
