@@ -308,6 +308,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact answers print in full, past the int-to-str digit limit of
+    # Python 3.11+ and 3.10.7+; the arguments were parsed under it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except PatternViolationError as e:
@@ -323,6 +328,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 from threading import Lock
-from typing import Iterable, Mapping, Union
 
 __all__ = [
     "LaurentPoly",
@@ -59,24 +58,68 @@ __all__ = [
 # exactly the strings str(int) writes: ASCII digits, no leading zero, no "-0"
 _DECIMAL_RE = re.compile(r"0|-?[1-9][0-9]*")
 
-CoeffSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
+
+class _CoeffMap:
+    """An immutable map from exponents to nonzero coefficients: the common
+    base of LaurentPoly and BiPoly.
+
+    Construction accepts a mapping or an iterable of (exponent, coefficient)
+    pairs.  Each pair passes the class's _entry check, which refuses a bad
+    exponent before a bad coefficient and returns the coefficient to store;
+    repeated exponents are summed onto the class's zero coefficient _zero
+    and zero sums dropped, so the map never stores a zero coefficient and
+    equality is plain map equality.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs=()):
+        acc = {}
+        pairs = coeffs.items() if isinstance(coeffs, abc.Mapping) else coeffs
+        for e, c in pairs:
+            c = self._entry(e, c)
+            if c:
+                v = acc.get(e, self._zero) + c
+                if v:
+                    acc[e] = v
+                elif e in acc:
+                    del acc[e]
+        object.__setattr__(self, "_coeffs", acc)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self._coeffs,)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def items(self) -> tuple:
+        """Sorted (exponent, coefficient) pairs."""
+        return tuple(sorted(self._coeffs.items()))
+
+    def coefficient(self, exp: int):
+        return self._coeffs.get(exp, self._zero)
+
+    def __bool__(self):
+        return bool(self._coeffs)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
-def _immutable(self, *args):
-    """__setattr__ and __delattr__ of the polynomial types."""
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class LaurentPoly:
+class LaurentPoly(_CoeffMap):
     """Laurent polynomial in q with integer coefficients, kept canonical.
 
-    The internal map never stores a zero coefficient, so equality is plain
-    map equality.  Construction accepts a mapping or an iterable of
-    (exponent, coefficient) pairs; repeated exponents are summed, and every
-    exponent and coefficient is checked.  Only values the library built
-    skip those checks (_wrap).  A product with a one-term factor c q^s is
-    an exponent shift by s with every coefficient scaled by c, which is
-    canonical already since two nonzero ints have a nonzero product.
+    Every exponent and coefficient a caller passes in is checked.  Only
+    values the library built skip those checks (_wrap).  A product with a
+    one-term factor c q^s is an exponent shift by s with every coefficient
+    scaled by c, which is canonical already since two nonzero ints have a
+    nonzero product.
 
     >>> p = LaurentPoly({0: 1, 1: 2})
     >>> p * p == LaurentPoly({0: 1, 1: 4, 2: 4})
@@ -85,28 +128,16 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _zero = 0
 
-    def __init__(self, coeffs: CoeffSource = ()):
-        acc: dict[int, int] = {}
-        pairs = coeffs.items() if isinstance(coeffs, abc.Mapping) else coeffs
-        for e, c in pairs:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise TypeError(f"exponent must be int, got {e!r}")
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"coefficient must be int, got {c!r}")
-            if c:
-                v = acc.get(e, 0) + c
-                if v:
-                    acc[e] = v
-                elif e in acc:
-                    del acc[e]
-        object.__setattr__(self, "_coeffs", acc)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __reduce__(self):
-        return type(self), (self._coeffs,)
+    @staticmethod
+    def _entry(e, c) -> int:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise TypeError(f"exponent must be int, got {e!r}")
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise TypeError(f"coefficient must be int, got {c!r}")
+        return c
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
@@ -127,17 +158,6 @@ class LaurentPoly:
         return None
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (exponent, coefficient) pairs."""
-        return tuple(sorted(self._coeffs.items()))
-
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
 
     def min_exp(self) -> int:
         if not self._coeffs:
@@ -238,9 +258,6 @@ class LaurentPoly:
             return hash(self._coeffs[0])
         return hash(self.items())
 
-    def __bool__(self):
-        return bool(self._coeffs)
-
     # -- substitutions -----------------------------------------------------
 
     def substitute_q_inverse(self) -> "LaurentPoly":
@@ -311,9 +328,6 @@ class LaurentPoly:
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
-    def __repr__(self):
-        return f"LaurentPoly({dict(self.items())!r})"
-
 
 def _wrap(coeffs: dict[int, int]) -> LaurentPoly:
     """A LaurentPoly around a fresh dict, with no checks: the caller owns
@@ -328,49 +342,27 @@ ONE = LaurentPoly({0: 1})
 Q = LaurentPoly({1: 1})
 
 
-class BiPoly:
+class BiPoly(_CoeffMap):
     """Polynomial in t whose coefficients are LaurentPoly values in q.
 
-    Exponents of t are nonnegative.  Canonical: no zero coefficient is
-    stored.  Used for the statistics that track a second parameter next to
-    the q-weight; it is built, compared, iterated and printed, and carries
-    no arithmetic of its own.
+    Exponents of t are nonnegative, and an int coefficient is read as a
+    constant LaurentPoly.  Used for the statistics that track a second
+    parameter next to the q-weight; it is built, compared, iterated and
+    printed, and carries no arithmetic of its own.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _zero = ZERO
 
-    def __init__(self, coeffs: Mapping[int, "LaurentPoly | int"] | Iterable[tuple[int, "LaurentPoly | int"]] = ()):
-        acc: dict[int, LaurentPoly] = {}
-        pairs = coeffs.items() if isinstance(coeffs, abc.Mapping) else coeffs
-        for e, p in pairs:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"t-exponent must be a nonnegative int, got {e!r}")
-            if isinstance(p, int):
-                p = LaurentPoly({0: p})
-            if not isinstance(p, LaurentPoly):
-                raise TypeError(f"coefficient must be LaurentPoly or int, got {p!r}")
-            if p:
-                v = acc.get(e, ZERO) + p
-                if v:
-                    acc[e] = v
-                elif e in acc:
-                    del acc[e]
-        object.__setattr__(self, "_coeffs", acc)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __reduce__(self):
-        return type(self), (self._coeffs,)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def items(self) -> tuple[tuple[int, LaurentPoly], ...]:
-        return tuple(sorted(self._coeffs.items()))
-
-    def coefficient(self, t_exp: int) -> LaurentPoly:
-        return self._coeffs.get(t_exp, ZERO)
+    @staticmethod
+    def _entry(e, p) -> LaurentPoly:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise ValueError(f"t-exponent must be a nonnegative int, got {e!r}")
+        if isinstance(p, int):
+            p = LaurentPoly({0: p})
+        if not isinstance(p, LaurentPoly):
+            raise TypeError(f"coefficient must be LaurentPoly or int, got {p!r}")
+        return p
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -379,9 +371,6 @@ class BiPoly:
 
     def __hash__(self):
         return hash(self.items())
-
-    def __bool__(self):
-        return bool(self._coeffs)
 
     def __str__(self):
         if not self._coeffs:
@@ -395,9 +384,6 @@ class BiPoly:
             else:
                 parts.append(f"({p})*t^{e}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"BiPoly({dict(self.items())!r})"
 
 
 # -- Kronecker packing ---------------------------------------------------------

@@ -461,6 +461,21 @@ def test_polybernoulli_far_beyond_recursion_depth():
     assert r.stdout.strip() == str(2 ** 600)
 
 
+def test_integers_past_the_str_digit_limit_print_in_full(capsys):
+    # the count of [id, max_coset_rep_A(2000, 1000)] is B_1000^(-1000), of
+    # 5,453 digits, past the 4,300-digit int-to-str limit of Python 3.11+;
+    # main lifts the limit for its output and gives the caller's back
+    count = run_cli("count", "--n", "2000", "--k", "1000")
+    assert (count.returncode, count.stderr) == (0, "")
+    assert len(count.stdout.strip()) > 4300
+    assert count.stdout == run_cli("polybernoulli", "--n", "1000", "--k", "1000").stdout
+    if hasattr(sys, "get_int_max_str_digits"):
+        before = sys.get_int_max_str_digits()
+        assert cli.main(["polybernoulli", "--n", "2", "--k", "2"]) == 0
+        assert capsys.readouterr().out == "14\n"
+        assert sys.get_int_max_str_digits() == before
+
+
 def test_table_rejects_bad_max_k():
     r = run_cli("table", "--kind", "polybernoulli", "--max-n", "2", "--max-k", "-1")
     assert (r.returncode, r.stdout) == (2, "")
