@@ -136,6 +136,8 @@ REFUSALS = [
     (right_hull, (WIDE,), ValueError, TOO_WIDE),
     (left_hull, (WIDE,), ValueError, TOO_WIDE),
     (all_skew_ferrers_boards, (0, MAX_WIDTH + 1), ValueError, TOO_WIDE),
+    (all_skew_ferrers_boards, (1, MAX_WIDTH + 1), ValueError, TOO_WIDE),
+    (all_skew_ferrers_boards, (1, MAX_WIDTH + 1, "left"), ValueError, TOO_WIDE),
     (Board, ((True, 1), 1), ValueError, "row mask does not fit the declared width"),
     (Board, ((1,), True), ValueError, TOO_WIDE),
     (Board, ((), 2.0), ValueError, TOO_WIDE),
@@ -167,6 +169,7 @@ REFUSALS = [
     (inv_stat, (SQUARE, (0, -1)), ValueError, "row 2 names column -1, outside 1..2"),
     (inv_stat, (SQUARE, (1.0, 0)), ValueError, "row 1 names column 1.0, outside 1..2"),
     (inv_stat, (SQUARE, (1, 1)), ValueError, "column 1 holds more than one rook"),
+    (SQUARE.is_ferrers, ("up",), ValueError, "align must be 'left' or 'right'"),
     (SQUARE.is_skew_ferrers, ("up",), ValueError, "align must be 'left' or 'right'"),
     (all_skew_ferrers_boards, (2, 2, "up"), ValueError, "align must be 'left' or 'right'"),
     (all_skew_ferrers_boards, (-1, 2), ValueError, "dimensions must be nonnegative ints"),
