@@ -49,6 +49,25 @@ __all__ = [
 MAX_WIDTH = 64
 
 
+def _check_width(width) -> None:
+    """Refuse a board width that is not an int in 0..MAX_WIDTH."""
+    if type(width) is not int or not 0 <= width <= MAX_WIDTH:
+        raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
+
+
+def _check_dims(m, n) -> None:
+    """Refuse board dimensions that are not nonnegative ints."""
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise ValueError("dimensions must be nonnegative ints")
+
+
+def _is_left(align) -> bool:
+    """Whether align is 'left', after refusing all but 'left' and 'right'."""
+    if align not in ("left", "right"):
+        raise ValueError("align must be 'left' or 'right'")
+    return align == "left"
+
+
 class Board(_Record):
     """An m x n zero-one matrix with per-row column bitmasks."""
 
@@ -58,8 +77,7 @@ class Board(_Record):
 
     def __init__(self, rows: Iterable[int], width: int):
         rows = tuple(rows)
-        if type(width) is not int or not 0 <= width <= MAX_WIDTH:
-            raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
+        _check_width(width)
         full = (1 << width) - 1
         for mask in rows:
             if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask & ~full:
@@ -158,8 +176,7 @@ class Board(_Record):
     def transpose(self) -> "Board":
         """The n x m board whose row j is column j of this one.  A board of
         more than MAX_WIDTH rows has no transpose, so it is refused."""
-        if len(self.rows) > MAX_WIDTH:
-            raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
+        _check_width(len(self.rows))
         return Board._trusted(_transpose_masks(self.rows, self.width), len(self.rows))
 
     def flip_ud(self) -> "Board":
@@ -176,10 +193,8 @@ class Board(_Record):
     def is_ferrers(self, align: str) -> bool:
         """Ferrers in the given alignment: each one-cell has a one directly
         above, and directly toward the aligned side (when those cells exist)."""
-        if align == "left":
+        if _is_left(align):
             return self.mirror_lr().is_ferrers("right")
-        if align != "right":
-            raise ValueError("align must be 'left' or 'right'")
         top = (1 << self.width) - 1 >> 1  # all but the rightmost column
         prev = (1 << self.width) - 1
         for mask in self.rows:
@@ -198,10 +213,8 @@ class Board(_Record):
         an empty row do not overlap in columns.  Cross-checked against the
         definitional shape-difference enumeration in the test suite.
         """
-        if align == "left":
+        if _is_left(align):
             return self.mirror_lr().is_skew_ferrers("right")
-        if align != "right":
-            raise ValueError("align must be 'left' or 'right'")
         prev_span = None  # (lo, hi) of the previous nonempty row
         gap_since_prev = False
         for mask in self.rows:
@@ -264,14 +277,12 @@ def _interval_mask(lo: int, hi: int) -> int:
 
 
 def ones(m: int, n: int) -> Board:
-    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
-        raise ValueError("dimensions must be nonnegative ints")
+    _check_dims(m, n)
     return Board((((1 << n) - 1),) * m, n)
 
 
 def zeros(m: int, n: int) -> Board:
-    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
-        raise ValueError("dimensions must be nonnegative ints")
+    _check_dims(m, n)
     return Board((0,) * m, n)
 
 
@@ -311,8 +322,7 @@ def right_hull(p: Permutation) -> Board:
     letters has no hull board and is refused.
     """
     w = p.word
-    if len(w) > MAX_WIDTH:
-        raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
+    _check_width(len(w))
     lo = list(accumulate(reversed(w), min))[::-1]
     hi = accumulate(w, max)
     return Board._trusted(tuple(_interval_mask(a, b) for a, b in zip(lo, hi)), len(w))
@@ -432,16 +442,10 @@ def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board
     rows.  Deliberately definitional; it is the oracle against which the
     interval-based recogniser is checked.
     """
-    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
-        raise ValueError("dimensions must be nonnegative ints")
-    if align == "left":
-        return tuple(
-            b.mirror_lr() for b in all_skew_ferrers_boards(m, n, "right")
-        )
-    if align != "right":
-        raise ValueError("align must be 'left' or 'right'")
-    if n > MAX_WIDTH:
-        raise ValueError(f"board width must be in 0..{MAX_WIDTH}")
+    _check_dims(m, n)
+    if _is_left(align):
+        return tuple(b.mirror_lr() for b in all_skew_ferrers_boards(m, n, "right"))
+    _check_width(n)
     # cells[lam][mu] is the row of lambda_i = lam and mu_i = mu, as a
     # one-mask tuple
     cells = [
