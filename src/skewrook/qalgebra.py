@@ -389,24 +389,27 @@ class BiPoly(_CoeffMap):
 # -- Kronecker packing ---------------------------------------------------------
 
 
-def _unpack(packed: int, width: int) -> list[int]:
-    """The base-2^width digits of a packed int, least significant first.
+def _pack(coeffs: list[int], w: int) -> int:
+    """Kronecker substitution q -> 2^(8w): the int whose w-byte digit e is
+    coeffs[e], written through one bytes object.
 
-    A polynomial with coefficients c_e is packed by Kronecker substitution
-    q -> 2^width as the int sum c_e << (width * e); digit e of the result is
-    c_e.  The bit-width rule: the digits come back exactly when every
-    coefficient satisfies 0 <= c_e < 2^width, so width must be at least the
-    bit length of an upper bound on the coefficients.  No digit then carries
-    into the next, and adding or shifting packed ints adds or shifts the
-    polynomials.  Multiplying them multiplies the polynomials when both
-    have nonnegative coefficients and width is at least bitlen(max a) +
-    bitlen(max b) + bitlen(min(len a, len b)) for their coefficient lists a
-    and b: every product coefficient is a sum of at most min(len a, len b)
-    terms, each at most max a * max b.  The digits are read off one binary
-    string, in time linear in the bit length; 0 unpacks to [].
+    The width rule: each coefficient must satisfy 0 <= c < 2^(8w) for
+    _unpack to read it back, and then adding packed ints, or shifting them
+    by multiples of 8w bits, adds or shifts the polynomials.  The product
+    of the packed lists a and b of nonnegative coefficients packs their
+    product when 8w >= bitlen(max a) + bitlen(max b) + bitlen(min(len a,
+    len b)): each product coefficient is a sum of at most min(len a, len b)
+    terms, each at most max a * max b.
     """
-    bits = format(packed, "b") if packed else ""
-    return [int(bits[max(i - width, 0):i], 2) for i in range(len(bits), 0, -width)]
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
+
+
+def _unpack(packed: int, w: int) -> list[int]:
+    """The w-byte digits of a packed int up to its top nonzero one, least
+    significant first, read as slices of one bytes object; 0 gives []."""
+    size = -(-packed.bit_length() // (8 * w)) * w
+    buf = packed.to_bytes(size, "little")
+    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
 
 
 def _mul_dense(a: list[int], b: list[int]) -> list[int]:
@@ -414,24 +417,16 @@ def _mul_dense(a: list[int], b: list[int]) -> list[int]:
     coefficients are a and b, all nonnegative, by one int product; the list
     is len(a) + len(b) - 1 long, and [] when either is empty.
 
-    Each list is packed at the product width of _unpack rounded up to w
-    whole bytes per digit, through one bytes object, so packing and
-    unpacking take time linear in the bit length; on Theorem A's terms at
-    n = 100, reading w-byte slices is about 3.8 times faster than
-    _unpack's binary string.  When b is a, it is not packed again and the
-    int is squared, which is cheaper.
+    Both lists are packed at _pack's product width rounded up to w whole
+    bytes.  When b is a, it is not packed again and the int is squared,
+    which is cheaper.
     """
     if not a or not b:
         return []
     w = (max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length() + 7) >> 3
-
-    def pack(coeffs):
-        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
-
-    packed = pack(a)
-    size = w * (len(a) + len(b) - 1)
-    buf = (packed * (packed if b is a else pack(b))).to_bytes(size, "little")
-    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
+    packed = _pack(a, w)
+    out = _unpack(packed * (packed if b is a else _pack(b, w)), w)
+    return out + [0] * (len(a) + len(b) - 1 - len(out))
 
 
 # -- q-analogues -------------------------------------------------------------

@@ -57,11 +57,11 @@ else, and every other count is read off the key.  _q_rook_table reads the
 rook count as the key's popcount, and rb_polynomial, whose key holds the
 taken columns and the set of values placed, reads neg off the latter.
 The two full-placement DPs pack the q-weight into one nonnegative int by
-Kronecker substitution q -> 2^B, with B bounded from the board before the
-scan (see qalgebra._unpack for the rule), so every packed int holds one
-q-polynomial at one width; a transition is a shift and an add, with one
-product more for a block of several free columns, and each int is
-unpacked once at the end.  _q_rook_table holds a LaurentPoly per state.
+Kronecker substitution q -> 2^(8w), with w whole bytes bounded from the
+board before the scan (see qalgebra._pack for the rule), so every packed
+int holds one q-polynomial at one width; a transition is a shift and an
+add, with one product more for a block of several free columns, and each
+int is unpacked once at the end.  _q_rook_table holds a LaurentPoly per state.
 """
 
 from __future__ import annotations
@@ -259,9 +259,9 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
     the row must take its rook there: a state with two such free columns is
     dropped, and one with a single one places its rook there.
 
-    Each state's polynomial is one int, packed by q -> 2^B, so q^a is a
+    Each state's polynomial is one int, packed by q -> 2^(8w), so q^a is a
     shift and [m]_q a product.  Row i offers at most min(popcount, n - i)
-    columns, so B is the bit length of the product of those counts.
+    columns, so w is the byte length of the product of those counts.
     """
     n = board.height
     if board.width != n:
@@ -275,7 +275,7 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
     cols = _transpose_masks(rows, n)
     if not all(cols):
         return ZERO
-    width = bound.bit_length()
+    width = bound.bit_length() + 7 & -8  # 8w bits, w whole bytes
     repunits = [0]  # repunits[m] packs [m]_q
     for _ in range(n):
         repunits.append(repunits[-1] << width | 1)
@@ -327,7 +327,7 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
                 key_ = key ^ bit
                 nxt[key_] = nxt.get(key_, 0) + (value << width * (key & (bit - 1)).bit_count())
         states = nxt
-    return _from_dense(0, _unpack(sum(states.values()), width))
+    return _from_dense(0, _unpack(sum(states.values()), width >> 3))
 
 
 def q_rook_number(board: Board, k: int) -> LaurentPoly:
@@ -478,9 +478,9 @@ def rb_polynomial(board: Board) -> BiPoly:
     the last term from the pair of rows i and 2n+1-i.  neg is the number of
     values in T above n, so it is read off the final states.
 
-    A state's q-polynomial is one int, packed by q -> 2^B.  Row i (from 0)
-    offers at most min(choices, 2n - 2i) values, and B is the bit length of
-    the product of those counts.
+    A state's q-polynomial is one int, packed by q -> 2^(8w).  Row i (from
+    0) offers at most min(choices, 2n - 2i) values, and w is the byte length
+    of the product of those counts.
     """
     _check_even_square(board)
     size = board.height
@@ -492,7 +492,7 @@ def rb_polynomial(board: Board) -> BiPoly:
         bound *= min(mask.bit_count(), size - 2 * i)
     if not bound:
         return BiPoly({})
-    width = bound.bit_length()
+    width = bound.bit_length() + 7 & -8  # 8w bits, w whole bytes
     # a state key holds the taken columns in its low `size` bits and T above
     states: dict[int, int] = {0: 1}
     for mask in allowed:
@@ -511,7 +511,7 @@ def rb_polynomial(board: Board) -> BiPoly:
     by_neg = [0] * (n + 1)
     for key, packed in states.items():
         by_neg[(key >> (size + n)).bit_count()] += packed
-    return BiPoly((t, _from_dense(0, _unpack(p, width))) for t, p in enumerate(by_neg))
+    return BiPoly((t, _from_dense(0, _unpack(p, width >> 3))) for t, p in enumerate(by_neg))
 
 
 def sharp_rb(a: Board) -> BiPoly:

@@ -22,6 +22,7 @@ from skewrook.qalgebra import (
     _dense,
     _from_dense,
     _mul_dense,
+    _pack as _byte_pack,
     _q_stirling_step,
     _stirling2_row,
     _times_q_int,
@@ -573,11 +574,12 @@ def test_poly_bernoulli_rejects_positive_upper_index():
         poly_bernoulli(2, 1)
 
 
-# -- Kronecker unpacking ---------------------------------------------------------
+# -- Kronecker packing -----------------------------------------------------------
 
 
-def _pack(digits, width):
-    return sum(d << (width * e) for e, d in enumerate(digits))
+def _pack(digits, w):
+    # the oracle for the library's byte-digit packing: w bytes are 8w bits
+    return sum(d << (8 * w * e) for e, d in enumerate(digits))
 
 
 def test_unpack_zero():
@@ -586,7 +588,8 @@ def test_unpack_zero():
 
 
 def test_unpack_width_one():
-    assert _unpack(0b1011, 1) == [1, 1, 0, 1]
+    # one-byte digits
+    assert _unpack(0x0B000201, 1) == [1, 2, 0, 11]
     assert _unpack(1, 1) == [1]
 
 
@@ -596,12 +599,18 @@ def test_unpack_interior_zero_digits():
     assert _unpack(_pack(digits, 40), 40) == digits
 
 
-@pytest.mark.parametrize("width", [1, 5, 8, 13, 64, 100])
-def test_unpack_top_digit_all_ones(width):
-    top = (1 << width) - 1
+@pytest.mark.parametrize("w", [1, 2, 5, 8, 13, 64, 100])
+def test_unpack_top_digit_all_ones(w):
+    top = (1 << 8 * w) - 1
     digits = [top, 0, 1, top]
-    assert _unpack(_pack(digits, width), width) == digits
-    assert _unpack(top, width) == [top]
+    assert _unpack(_pack(digits, w), w) == digits
+    assert _unpack(top, w) == [top]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=30), st.integers(8, 12))
+def test_pack_is_the_shift_sum(digits, w):
+    # trailing zero digits included; at w = 8 a digit may fill its 8 bytes
+    assert _byte_pack(digits, w) == _pack(digits, w)
 
 
 def _dict_product(a, b):
@@ -656,21 +665,21 @@ def test_poly_from_digits_zero():
     assert _from_dense(0, []) == ZERO and _from_dense(0, [0, 0]).items() == ()
 
 
-@pytest.mark.parametrize("width", [3, 40])
-def test_poly_from_digits_drops_interior_zero_digits(width):
+@pytest.mark.parametrize("w", [3, 40])
+def test_poly_from_digits_drops_interior_zero_digits(w):
     digits = [5, 0, 0, 7, 0, 1]
     want = {0: 5, 3: 7, 5: 1}
-    _assert_canonical(_from_dense(0, _unpack(_pack(digits, width), width)), want)
+    _assert_canonical(_from_dense(0, _unpack(_pack(digits, w), w)), want)
     _assert_canonical(_from_dense(0, digits), want)
     _assert_canonical(_from_dense(0, [0, 0, 2, 0]), {2: 2})
 
 
-@pytest.mark.parametrize("width", [1, 5, 8, 13, 64, 100])
-def test_poly_from_digits_top_digit_all_ones(width):
-    top = (1 << width) - 1
+@pytest.mark.parametrize("w", [1, 2, 5, 8, 13, 64, 100])
+def test_poly_from_digits_top_digit_all_ones(w):
+    top = (1 << 8 * w) - 1
     digits = [top, 0, 1, top]
-    _assert_canonical(_from_dense(0, _unpack(_pack(digits, width), width)), {0: top, 2: 1, 3: top})
-    _assert_canonical(_from_dense(0, _unpack(top, width)), {0: top})
+    _assert_canonical(_from_dense(0, _unpack(_pack(digits, w), w)), {0: top, 2: 1, 3: top})
+    _assert_canonical(_from_dense(0, _unpack(top, w)), {0: top})
 
 
 def test_q_factorial_is_canonical():
@@ -681,8 +690,8 @@ def test_q_factorial_is_canonical():
         _assert_canonical(q_factorial.__wrapped__(i), want)
 
 
-@given(st.lists(st.integers(0, 2**20 - 1), max_size=30), st.integers(20, 70))
-def test_unpack_inverts_packing(digits, width):
+@given(st.lists(st.integers(0, 2**20 - 1), max_size=30), st.integers(3, 9))
+def test_unpack_inverts_packing(digits, w):
     while digits and not digits[-1]:
         digits.pop()
-    assert _unpack(_pack(digits, width), width) == digits
+    assert _unpack(_pack(digits, w), w) == digits
