@@ -451,6 +451,21 @@ def test_garsia_remmel_matches_poly():
             assert garsia_remmel_product(b, n, x) == q_rook_poly(b, n, x)
 
 
+def test_factorizations_on_seeded_ferrers_boards():
+    # sides 8 to 12, past the 3 x 3 boxes above; rows of nonincreasing
+    # length, left-aligned, and for gjw_product their mirror images
+    rng = random.Random(34)
+    for _ in range(20):
+        m, n = rng.randint(8, 12), rng.randint(8, 12)
+        lengths = sorted((rng.randint(0, n) for _ in range(m)), reverse=True)
+        b = Board(tuple((1 << k) - 1 for k in lengths), n)
+        for x in (0, 1, 3):
+            want = q_rook_poly(b, n, x)
+            where = f"board\n{b.to_text()}\nat x = {x}"
+            assert garsia_remmel_product(b, n, x) == want, where
+            assert gjw_product(b.mirror_lr(), n, x) == want.evaluate_at_one(), where
+
+
 def _ferrers_boards(max_side, align):
     for m in range(1, max_side + 1):
         for n in range(1, max_side + 1):
