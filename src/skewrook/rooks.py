@@ -275,7 +275,7 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
     cols = _transpose_masks(rows, n)
     if not all(cols):
         return ZERO
-    width = bound.bit_length() + 7 & -8  # 8w bits, w whole bytes
+    width = (bound.bit_length() + 7) & -8  # 8w bits, w whole bytes
     repunits = [0]  # repunits[m] packs [m]_q
     for _ in range(n):
         repunits.append(repunits[-1] << width | 1)
@@ -492,7 +492,7 @@ def rb_polynomial(board: Board) -> BiPoly:
         bound *= min(mask.bit_count(), size - 2 * i)
     if not bound:
         return BiPoly({})
-    width = bound.bit_length() + 7 & -8  # 8w bits, w whole bytes
+    width = (bound.bit_length() + 7) & -8  # 8w bits, w whole bytes
     # a state key holds the taken columns in its low `size` bits and T above
     states: dict[int, int] = {0: 1}
     for mask in allowed:
