@@ -259,11 +259,10 @@ def _transpose_masks(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
 
 
 def _revbits(mask: int, width: int) -> int:
-    out = 0
-    for j in range(width):
-        if mask >> j & 1:
-            out |= 1 << (width - 1 - j)
-    return out
+    """The mask with column j + 1 moved to column width - j, for a mask of
+    at most width bits: its binary digits read backwards, shifted up to
+    width bits."""
+    return int(bin(mask)[:1:-1], 2) << (width - mask.bit_length())
 
 
 def _interval_mask(lo: int, hi: int) -> int:

@@ -497,6 +497,16 @@ def test_theoremA_matches_the_rook_route_beyond_brute_force():
             assert theoremA_poincare(n, k) == rook, (n, k)
 
 
+@pytest.mark.parametrize("n", [24, 28])
+def test_theoremA_matches_the_rook_route_on_thin_cosets(n):
+    """k = n / 4: the right hull's rows take n - k distinct first one-cells
+    but only k last ones, so the full placement scans the hull's columns
+    from the left: 0.003-0.005 s at n = 24 and 0.01-0.02 s at n = 28 on a
+    2-core VM.  Down the hull's own rows it took 0.45-0.77 s and 7.1 s."""
+    rook = poincare_via_rook(Permutation.identity(n), max_coset_rep_A(n, n // 4).w)
+    assert rook == theoremA_poincare(n, n // 4)
+
+
 def test_theoremA_matches_the_paper_sum_by_products():
     """The Horner route against the paper's sum taken term by term with
     LaurentPoly products, i running over 0..k, for all 1 <= k < n <= 30."""

@@ -13,6 +13,7 @@ from skewrook.boards import (
     Board,
     block_sharp,
     enumerate_rook_configs,
+    left_hull,
     ones,
     right_hull,
     triangular,
@@ -21,9 +22,11 @@ from skewrook.boards import (
 from skewrook.permutations import Permutation
 from skewrook.qalgebra import ONE, ZERO, BiPoly, LaurentPoly, q_factorial, q_falling
 from skewrook.rooks import (
+    _full_placement_scan,
     _q_rook_scan,
     _q_rook_table,
     _scan_bound,
+    _scans_anti_transpose,
     _scans_transpose,
     _word_inv,
     full_placement_q_poly,
@@ -344,6 +347,17 @@ def _pruned_cases():
     return plain, orphan, [_empty_column(rng, b) for b in plain[60:]]
 
 
+def _scan_own_rows(b):
+    """The full-placement DP down b's own rows, the orientation in which the
+    tests below build their blocks and orphaned columns; the public entry
+    would scan a transpose.  A board with an empty row or column never
+    reaches the DP, so it goes to the public entry."""
+    cols = b.transpose().rows
+    if not all(b.rows) or not all(cols):
+        return full_placement_q_poly(b)
+    return _full_placement_scan(b.rows, cols)
+
+
 def test_packed_full_placement_matches_enumeration():
     rng = random.Random(11)
     cases = [Board((), 0), ones(1, 1), zeros(1, 1), Board((0b11, 0), 2)]
@@ -352,9 +366,9 @@ def test_packed_full_placement_matches_enumeration():
     plain, orphan, empty = _pruned_cases()
     assert sum(b.height == 7 for b in plain) >= 15
     for b in cases + plain + orphan:
-        assert full_placement_q_poly(b) == q_rook_number_brute(b, b.height), b.to_text()
+        assert _scan_own_rows(b) == q_rook_number_brute(b, b.height), b.to_text()
     # an orphaned column must be filled while the rows still reach it
-    assert sum(not full_placement_q_poly(b).is_zero for b in orphan) >= 20
+    assert sum(not _scan_own_rows(b).is_zero for b in orphan) >= 20
     for b in empty:
         assert full_placement_q_poly(b).is_zero and q_rook_number_brute(b, b.height).is_zero
 
@@ -387,10 +401,37 @@ def test_full_placement_merges_interchangeable_columns():
     orphan = [_orphan_early(rng, b) for b in blocky[:60]]
     empty = [_empty_column(rng, b) for b in blocky[:20]]
     for b in blocky + orphan + empty:
-        assert full_placement_q_poly(b) == q_rook_number_brute(b, b.height), b.to_text()
-    assert sum(not full_placement_q_poly(b).is_zero for b in blocky) >= 100
-    assert sum(not full_placement_q_poly(b).is_zero for b in orphan) >= 20
+        assert _scan_own_rows(b) == q_rook_number_brute(b, b.height), b.to_text()
+    assert sum(not _scan_own_rows(b).is_zero for b in blocky) >= 100
+    assert sum(not _scan_own_rows(b).is_zero for b in orphan) >= 20
     assert all(full_placement_q_poly(b).is_zero for b in empty)
+
+
+def _hull_board(rng, n):
+    """A right hull, a left hull or the intersection of the two, of random
+    words of length n: a board whose rows are intervals."""
+    u, w = (Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(2))
+    return rng.choice((right_hull(w), left_hull(u), right_hull(w).intersect(left_hull(u))))
+
+
+def test_full_placement_is_invariant_under_the_inv_symmetries():
+    """Transpose, 180-degree turn and anti-transpose keep a full
+    placement's inversions, so the pick of full_placement_q_poly between
+    transpose and anti-transpose must not show: each image of a board
+    answers the brute oracle's polynomial, on hull boards of sides 2 to 8
+    and random boards up to 7 x 7, with both sides of the pick taken."""
+    rng = random.Random(35)
+    hulls = [_hull_board(rng, rng.randint(2, 8)) for _ in range(120)]
+    rand = [_random_board(rng, rng.randint(1, 7), rng.uniform(0.4, 1.0)) for _ in range(120)]
+    picks = {True: 0, False: 0}
+    for b in hulls + rand:
+        want = q_rook_number_brute(b, b.height)
+        turned = b.transpose().rotate180()
+        for image in (b, b.transpose(), b.rotate180(), turned):
+            assert full_placement_q_poly(image) == want, (b.to_text(), image.to_text())
+        if not want.is_zero:
+            picks[_scans_anti_transpose(b.rows)] += 1
+    assert min(picks.values()) >= 20, picks
 
 
 def test_full_placement_is_cached_per_board():
