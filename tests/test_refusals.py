@@ -10,8 +10,10 @@ from skewrook.boards import (
     MAX_WIDTH,
     Board,
     all_skew_ferrers_boards,
+    block_sharp,
     enumerate_rook_configs,
     left_hull,
+    max_configs,
     ones,
     right_hull,
     triangular,
@@ -51,6 +53,7 @@ from skewrook.rooks import (
     inv_stat,
     q_rook_number,
     q_rook_poly,
+    sharp_q_rook,
     sharp_rb,
     t_board_q_rook,
 )
@@ -66,6 +69,8 @@ NOT_INT = "n must be an int"
 NOT_INT_ARGS = "polynomial index and argument must be ints"
 NOT_RANGE = "need 1 <= k <= n-1"
 NOT_INDEX_WIDTH = "polynomial index must equal the board width"
+NOT_SQUARE = "full placements need a square board"
+NOT_BLOCKS = "block composition needs square boards"
 NOT_RIGHT = Board.parse("#.\n##")  # not right-aligned Ferrers
 NOT_LEFT = Board.parse(".#\n##")  # not left-aligned Ferrers
 
@@ -76,7 +81,13 @@ class Index(IntEnum):
 
 
 REFUSALS = [
-    (full_placement_q_poly, (ones(2, 3),), ValueError, "need a square board"),
+    (full_placement_q_poly, (ones(2, 3),), ValueError, NOT_SQUARE),
+    (max_configs, (ones(2, 3),), ValueError, NOT_SQUARE),
+    # a non-square board in either argument of a block composition
+    (block_sharp, (ones(2, 3), SQUARE), ValueError, NOT_BLOCKS),
+    (block_sharp, (SQUARE, ones(3, 2)), ValueError, NOT_BLOCKS),
+    (sharp_q_rook, (ones(2, 3), SQUARE), ValueError, NOT_BLOCKS),
+    (sharp_q_rook, (SQUARE, ones(3, 2)), ValueError, NOT_BLOCKS),
     (sharp_rb, (ones(2, 3),), ValueError, "need a square board"),
     (coset_reps_A, (3, 0), ValueError, "need 1 <= k <= n-1"),
     (coset_reps_A, (3, 3), ValueError, "need 1 <= k <= n-1"),
@@ -161,6 +172,7 @@ REFUSALS = [
     (enumerate_rook_configs, (SQUARE, 1.0), ValueError, "rook count must be an int, got 1.0"),
     (enumerate_rook_configs, (SQUARE, 2.5), ValueError, "rook count must be an int, got 2.5"),
     (enumerate_rook_configs, (SQUARE, True), ValueError, "rook count must be an int, got True"),
+    (q_rook_number, (SQUARE, -1), ValueError, "rook count must be nonnegative"),
     (q_rook_number, (SQUARE, 1.0), ValueError, "rook count must be an int, got 1.0"),
     (q_rook_number, (SQUARE, 2.5), ValueError, "rook count must be an int, got 2.5"),
     (q_rook_number, (SQUARE, True), ValueError, "rook count must be an int, got True"),
