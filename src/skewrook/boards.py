@@ -30,7 +30,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator
 
-from .permutations import Permutation, _Record
+from .permutations import Permutation, _Record, _check_nonneg_size
 
 __all__ = [
     "Board",
@@ -59,6 +59,26 @@ def _check_dims(m, n) -> None:
     """Refuse board dimensions that are not nonnegative ints."""
     if type(m) is not int or type(n) is not int or m < 0 or n < 0:
         raise ValueError("dimensions must be nonnegative ints")
+
+
+def _check_rook_count(k) -> None:
+    """Refuse a rook count that is not a nonnegative int, a bool included."""
+    if type(k) is not int:
+        raise ValueError(f"rook count must be an int, got {k!r}")
+    if k < 0:
+        raise ValueError("rook count must be nonnegative")
+
+
+def _check_square(board: Board) -> None:
+    """Refuse a board that is not square: it has no full placement."""
+    if board.height != board.width:
+        raise ValueError("full placements need a square board")
+
+
+def _check_blocks(a: Board, b: Board) -> None:
+    """Refuse a block composition whose blocks are not both square."""
+    if a.width != a.height or b.width != b.height:
+        raise ValueError("block composition needs square boards")
 
 
 def _is_left(align) -> bool:
@@ -287,10 +307,7 @@ def zeros(m: int, n: int) -> Board:
 
 def triangular(n: int) -> Board:
     """The n x n staircase: cell (i, j) is a one iff i <= n - j + 1."""
-    if type(n) is not int:
-        raise ValueError(f"size must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError("size must be nonnegative")
+    _check_nonneg_size(n)
     return Board(tuple((1 << (n - i)) - 1 for i in range(n)), n)
 
 
@@ -299,9 +316,8 @@ def block_sharp(top_left: Board, bottom_right: Board) -> Board:
 
     top_left is n x n, bottom_right is m x m; the result is (n+m) x (n+m).
     """
+    _check_blocks(top_left, bottom_right)
     n, m = top_left.height, bottom_right.height
-    if top_left.width != n or bottom_right.width != m:
-        raise ValueError("block composition needs square boards")
     right_ones = ((1 << m) - 1) << n
     left_ones = (1 << n) - 1
     rows = tuple(mask | right_ones for mask in top_left.rows) + tuple(
@@ -355,10 +371,7 @@ def enumerate_rook_configs(board: Board, k: int) -> Iterator[tuple[int, ...]]:
     left to right, and yields those words in one step instead of
     descending a row for each.
     """
-    if type(k) is not int:
-        raise ValueError(f"rook count must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError("rook count must be nonnegative")
+    _check_rook_count(k)
     rows = board.rows
     m = len(rows)
     if k > m - rows.count(0) or k > reduce(or_, rows, 0).bit_count():
@@ -419,8 +432,7 @@ def enumerate_rook_configs(board: Board, k: int) -> Iterator[tuple[int, ...]]:
 
 def max_configs(board: Board) -> set[Permutation]:
     """The permutations whose full rook placement fits inside a square board."""
-    if board.height != board.width:
-        raise ValueError("full placements need a square board")
+    _check_square(board)
     words = enumerate_rook_configs(board, board.height)
     return {Permutation._trusted(word) for word in words}
 

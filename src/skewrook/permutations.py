@@ -99,6 +99,14 @@ class _Record:
         return type(self), self._astuple()
 
 
+def _check_nonneg_size(n) -> None:
+    """Refuse a size that is not a nonnegative int, a bool included."""
+    if type(n) is not int:
+        raise ValueError(f"size must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+
+
 class Permutation(_Record):
     """A permutation of [n] = {1, ..., n}, 1-indexed throughout.
 
@@ -128,10 +136,7 @@ class Permutation(_Record):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        if type(n) is not int:
-            raise ValueError(f"size must be an int, got {n!r}")
-        if n < 0:
-            raise ValueError("size must be nonnegative")
+        _check_nonneg_size(n)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod

@@ -412,6 +412,14 @@ def _unpack(packed: int, w: int) -> list[int]:
     return [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
 
 
+def _digit_width(counts: abc.Iterable[int]) -> int:
+    """The digit width 8w, in bits, of a packed placement DP whose step i
+    offers at most counts[i] choices: w is the byte length of the product
+    of the counts, which bounds every coefficient, a count of placements,
+    so each is below 2^(8w) as _pack's rule asks.  A count of 0 gives 0."""
+    return (math.prod(counts).bit_length() + 7) & -8
+
+
 def _mul_dense(a: list[int], b: list[int]) -> list[int]:
     """The dense coefficients of the product of the polynomials whose dense
     coefficients are a and b, all nonnegative, by one int product; the list

@@ -23,27 +23,23 @@ suite plays them against each other:
   are this table at q = 1.  The table scans the board or its transpose,
   whichever has the smaller bound on live column masks (ties keep the
   rows): the sum over the lines scanned of sum_{k <= r} C(c, k), where r
-  lines from the bottom touch c columns.  The two tables are equal, since
-  a cell counts for inv exactly when its row at or right of it and its
-  column at or below it hold no rook, and transposing swaps the two.  A
-  wide board is scanned down its columns: ones(3, 64) then takes 64 steps
-  of at most 8 states;
-* the top-down full-placement DP, full_placement_q_poly, for the n-rook
-  number of an n x n board, also cached per board.
+  lines from the bottom touch c columns.  A wide board is scanned down its
+  columns: ones(3, 64) then takes 64 steps of at most 8 states;
+* the full-placement DP, full_placement_q_poly, for the n-rook number of
+  an n x n board, a scan across the columns, also cached per board.
 
 Every query goes through one of the two DPs, whatever the board's width up
 to boards.MAX_WIDTH; the enumeration oracle serves only the tests and the
 verify checks.
 
-Full placement keeps its own DP because it scans top-down, carries only
-placements with a rook in every row so far, drops a state as soon as a
-column it misses has no one-cell left below, and keys a state by the free
-count of each block of interchangeable columns.  It scans the board's
-columns, from the left or, on the anti-transpose, from the right,
-whichever side's row ends take fewer distinct values, so that its blocks
-are the steps of the shorter boundary path of a hull board.  On the hull
-intersections of the bruhat-pairs benchmark workload (seed 0) it makes
-2,417 transitions, 6,712 when it scanned the board's own rows, the
+Full placement keeps its own DP because it carries only placements with a
+rook in every column so far, drops a state as soon as a row it misses has
+no one-cell left, and keys a state by the free count of each block of
+interchangeable rows.  It scans the columns of the board or of its
+180-degree turn, whichever's row ends take fewer distinct values, so that
+its blocks are the steps of the shorter boundary path of a hull board.  On
+the hull intersections of the bruhat-pairs benchmark workload (seed 0) it
+makes 2,417 transitions, 6,712 when it scanned the board's own rows, the
 column-mask scan it replaced 28,972, a bottom-up scan restricted to a rook
 in every row 2.80M, and the all-k table 49.4M.
 
@@ -55,17 +51,15 @@ _word_inv.  The oracle never pairs mirror rows, so it shares no step with
 the DP it checks.
 
 All three DPs share one state rule: a state's key is a bit mask of what
-the placements reaching it have taken (in full placement, of the columns
+the placements reaching it have taken (in full placement, of the rows
 still free, in canonical form), its value is their q-weight and nothing
 else, and every other count is read off the key.  _q_rook_table reads the
 rook count as the key's popcount, and rb_polynomial, whose key holds the
 taken columns and the set of values placed, reads neg off the latter.
 The two full-placement DPs pack the q-weight into one nonnegative int by
-Kronecker substitution q -> 2^(8w), with w whole bytes bounded from the
-board before the scan (see qalgebra._pack for the rule), so every packed
-int holds one q-polynomial at one width; a transition is a shift and an
-add, with one product more for a block of several free columns, and each
-int is unpacked once at the end.  _q_rook_table holds a LaurentPoly per state.
+Kronecker substitution q -> 2^(8w) at one width (qalgebra._digit_width),
+so a transition is a shift and an add, with one product more for a block
+of several free rows, and each int is unpacked once at the end.  _q_rook_table holds a LaurentPoly per state.
 """
 
 from __future__ import annotations
@@ -77,7 +71,8 @@ from math import comb
 from operator import or_
 from typing import Iterable
 
-from .boards import Board, _revbits, _transpose_masks, enumerate_rook_configs
+from .boards import Board, _transpose_masks, enumerate_rook_configs
+from .boards import _check_blocks, _check_rook_count, _check_square
 from .qalgebra import (
     ONE,
     ZERO,
@@ -86,6 +81,7 @@ from .qalgebra import (
     q_factorial,
     q_int,
     q_stirling,
+    _digit_width,
     _from_dense,
     _unpack,
 )
@@ -194,7 +190,7 @@ def _q_rook_table(rows: tuple[int, ...], width: int) -> tuple[LaurentPoly, ...]:
     chosen transpose is built.
     """
     if _scans_transpose(rows, width):
-        return _q_rook_scan(_transpose_masks(rows, width), len(rows))
+        rows, width = _transpose_masks(rows, width), len(rows)
     return _q_rook_scan(rows, width)
 
 
@@ -248,94 +244,79 @@ def _q_rook_scan(rows: tuple[int, ...], width: int) -> tuple[LaurentPoly, ...]:
 def full_placement_q_poly(board: Board) -> LaurentPoly:
     """Sum of q^inversions over permutations fitting inside a square board.
 
-    _full_placement_scan runs on the board's transpose or on its
-    anti-transpose (the transpose turned by 180 degrees).  A permutation
-    matrix and its inverse have the same inversions, and so do a matrix and
-    its 180-degree turn, so both scans give the same polynomial, equal to
-    q_rook_number(board, n).  A board with an empty row or column has no
-    full placement and is answered before the transpose is built.
+    _full_placement_scan scans the columns of the board or of its
+    180-degree turn.  A permutation matrix, its inverse and its 180-degree
+    turn have the same inversions, so both scans give q_rook_number(board,
+    n).  A board with an empty row has no full placement and is answered
+    before the scan; the scan answers one with an empty column.
 
-    Either scan walks the board's columns, and its blocks of
-    interchangeable columns are runs of adjacent board rows that agree on
-    the columns still to come.  On the transpose, scanned from the left,
-    such rows end up grouped by their last one-cell; on the anti-transpose,
-    scanned from the right, by their first one-cell.  The rows of a hull
-    board of poincare_via_rook are intervals, whose first and last
-    one-cells trace its two boundary paths, so the pick scans against the
-    path with fewer steps: the anti-transpose when the rows' first
-    one-cells take fewer distinct columns than their last ones
-    (_scans_anti_transpose), the transpose otherwise, ties included.
-
-    On the 360 hull boards with a full placement among the bruhat-pairs
-    queries of seeds 0-11, the pick makes 30,304 transitions: 75,630 down
-    the board's own rows, 148,294 on every transpose, 42,134 on every
-    anti-transpose, and 29,431 for the best of the four per board.
+    The scan's blocks of interchangeable rows group the rows by their last
+    one-cell, or on the turn by their first.  The rows of a hull board of
+    poincare_via_rook are intervals, whose first and last one-cells trace
+    its two boundary paths, so the pick scans against the path with fewer
+    steps: the turn when the rows' first one-cells take fewer distinct
+    columns than their last ones (_scans_anti_transpose), the board itself
+    otherwise, ties included.  On the 360 hull boards with a full placement
+    among the bruhat-pairs queries of seeds 0-11, the pick makes 30,304
+    transitions: 75,630 down the board's own rows, 148,294 along every
+    board's columns, 42,134 along every turn's columns, and 29,431 for the
+    best of the four per board.
     """
-    n = board.height
-    if board.width != n:
-        raise ValueError("full placements need a square board")
-    rows = board.rows
-    if not all(rows):
+    _check_square(board)
+    if not all(board.rows):
         return ZERO
-    cols = _transpose_masks(rows, n)
-    if not all(cols):
-        return ZERO
-    if _scans_anti_transpose(rows):
-        return _full_placement_scan(
-            tuple(_revbits(mask, n) for mask in reversed(cols)),
-            tuple(_revbits(mask, n) for mask in reversed(rows)),
-        )
-    return _full_placement_scan(cols, rows)
+    if _scans_anti_transpose(board.rows):
+        board = board.rotate180()
+    return _full_placement_scan(board.rows)
 
 
 def _scans_anti_transpose(rows: tuple[int, ...]) -> bool:
     """Whether the rows' first one-cells take fewer distinct columns than
-    their last ones."""
+    their last ones, so the 180-degree turn (anti-transpose) is scanned."""
     return len({mask & -mask for mask in rows}) < len({mask.bit_length() for mask in rows})
 
 
-def _full_placement_scan(rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPoly:
-    """The block DP behind full_placement_q_poly, on the row masks of a
-    square board with no empty row or column and on its column masks.
+def _full_placement_scan(rows: tuple[int, ...]) -> LaurentPoly:
+    """The block DP behind full_placement_q_poly.  It takes the row masks
+    of a square board with no empty row, builds the column masks itself
+    (_transpose_masks) and scans the board's columns from the left.  The
+    rook of each column scores the free rows above it, the later columns
+    whose rooks sit higher, so a full placement scores its inversions.
 
-    Scans rows top-down.  A rook in column c scores the free columns left
-    of c, the later rows with smaller values, so a full placement scores its
-    inversion number.
-
-    At row i a block is a maximal run of adjacent columns whose one-cells
-    agree on rows i..n-1, so its columns are interchangeable from there on.
-    A key is the free-column mask with each block's free columns moved to
-    its highest ones: it records only the free count of each block.  Blocks
-    only merge as rows are consumed, and the keys are then re-canonicalised
-    on the merged blocks.  A block of the row with m free columns, a free
-    columns left of it, makes one transition: it drops its lowest free
-    column and multiplies by q^a [m]_q.  A column whose last one-cell is in
-    the row must take its rook there: a state with two such free columns is
-    dropped, and one with a single one places its rook there.
+    At column i a block is a maximal run of adjacent rows whose one-cells
+    agree on columns i..n-1, so its rows are interchangeable from there on.
+    A key is the free-row mask with each block's free rows moved to its
+    bottom: it records only the free count of each block.  Blocks only
+    merge as columns are consumed, and the keys are then re-canonicalised
+    on the merged blocks.  A block of the column with m free rows, a free
+    rows above it, makes one transition: it drops its top free row and
+    multiplies by q^a [m]_q.  A row whose last one-cell is in the column
+    must take its rook there: a state with two such free rows is dropped,
+    and one with a single one places its rook there.
 
     Each state's polynomial is one int, packed by q -> 2^(8w), so q^a is a
-    shift and [m]_q a product.  Row i offers at most min(popcount, n - i)
-    columns, so w is the byte length of the product of those counts.
+    shift and [m]_q a product.  The width comes from the at most
+    min(popcount, n - i) rows of column i (_digit_width); 0 answers ZERO.
     """
     n = len(rows)
-    bound = 1
-    for i, mask in enumerate(rows):
-        bound *= min(mask.bit_count(), n - i)
-    width = (bound.bit_length() + 7) & -8  # 8w bits, w whole bytes
+    cols = _transpose_masks(rows, n)
+    width = _digit_width(min(col.bit_count(), n - i) for i, col in enumerate(cols))
+    if not width:
+        return ZERO
     repunits = [0]  # repunits[m] packs [m]_q
     for _ in range(n):
         repunits.append(repunits[-1] << width | 1)
-    # joins[r]: the columns j that join column j + 1 from row r on;
-    # ends[r]: the columns whose last one-cell is in row r - 1
+    # joins[c]: the rows j that join row j + 1 from column c on, both from 0;
+    # ends[c]: the rows whose last one-cell is in column c, from 1
     joins: list[list[int]] = [[] for _ in range(n + 1)]
     ends = [0] * (n + 1)
-    for j, col in enumerate(cols):
-        ends[col.bit_length()] |= 1 << j
+    for j, row in enumerate(rows):
+        ends[row.bit_length()] |= 1 << j
         if j:
-            joins[(cols[j - 1] ^ col).bit_length()].append(j - 1)
-    cuts = (1 << n) - 1  # bit j: column j is the highest of its block
+            joins[(rows[j - 1] ^ row).bit_length()].append(j - 1)
+    cuts = (1 << n) - 1  # bit j: row j + 1 is the last of its block
     states: dict[int, int] = {cuts: 1}
-    for i, mask in enumerate(rows):
+    for i, mask in enumerate(cols):
         if joins[i]:
             cuts &= ~sum(1 << j for j in joins[i])
             merged = {}
@@ -378,10 +359,7 @@ def _full_placement_scan(rows: tuple[int, ...], cols: tuple[int, ...]) -> Lauren
 
 def q_rook_number(board: Board, k: int) -> LaurentPoly:
     """kth q-rook number: sum of q^inv over k-rook placements."""
-    if type(k) is not int:
-        raise ValueError(f"rook count must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError("rook count must be nonnegative")
+    _check_rook_count(k)
     m, n = board.dims
     if k > min(m, n):
         return ZERO
@@ -474,9 +452,8 @@ def sharp_q_rook(a: Board, b: Board) -> LaurentPoly:
     sum over i of R^a_{m-i}(q) R^{b rotated}_{n-i}(q) [i]!_q^2 q^{-i^2},
     which equals q_rook_number(block_sharp(b, a), m + n).
     """
+    _check_blocks(a, b)
     m, n = a.height, b.height
-    if a.width != m or b.width != n:
-        raise ValueError("block composition needs square boards")
     b_rot = b.rotate180()
     total = ZERO
     for i in range(min(m, n) + 1):
@@ -525,20 +502,17 @@ def rb_polynomial(board: Board) -> BiPoly:
     values in T above n, so it is read off the final states.
 
     A state's q-polynomial is one int, packed by q -> 2^(8w).  Row i (from
-    0) offers at most min(choices, 2n - 2i) values, and w is the byte length
-    of the product of those counts.
+    0) offers at most min(choices, 2n - 2i) values, and the width comes
+    from those counts (_digit_width).
     """
     _check_even_square(board)
     size = board.height
     n = size // 2
     # allowed[i]: the values v with one-cells at (i, v) and at its mirror
     allowed = [a & b for a, b in zip(board.rows[:n], board.rotate180().rows)]
-    bound = 1
-    for i, mask in enumerate(allowed):
-        bound *= min(mask.bit_count(), size - 2 * i)
-    if not bound:
+    width = _digit_width(min(mask.bit_count(), size - 2 * i) for i, mask in enumerate(allowed))
+    if not width:
         return BiPoly({})
-    width = (bound.bit_length() + 7) & -8  # 8w bits, w whole bytes
     # a state key holds the taken columns in its low `size` bits and T above
     states: dict[int, int] = {0: 1}
     for mask in allowed:

@@ -20,6 +20,7 @@ from skewrook.qalgebra import (
     BiPoly,
     _add_dense,
     _dense,
+    _digit_width,
     _from_dense,
     _mul_dense,
     _pack as _byte_pack,
@@ -611,6 +612,15 @@ def test_unpack_top_digit_all_ones(w):
 def test_pack_is_the_shift_sum(digits, w):
     # trailing zero digits included; at w = 8 a digit may fill its 8 bytes
     assert _byte_pack(digits, w) == _pack(digits, w)
+
+
+def test_digit_width_is_the_byte_length_of_the_count_product():
+    # 8w bits, w the fewest bytes that hold the product; a zero count gives 0
+    assert _digit_width([]) == 8  # the empty product 1
+    assert _digit_width([255]) == 8 and _digit_width([256]) == 16
+    assert _digit_width([16, 16]) == 16 and _digit_width([15, 17]) == 8
+    assert _digit_width(iter([3, 0, 7])) == 0
+    assert _digit_width(range(1, 21)) == 64  # 20! < 2^62
 
 
 def _dict_product(a, b):

@@ -355,7 +355,7 @@ def _scan_own_rows(b):
     cols = b.transpose().rows
     if not all(b.rows) or not all(cols):
         return full_placement_q_poly(b)
-    return _full_placement_scan(b.rows, cols)
+    return _full_placement_scan(cols)
 
 
 def test_packed_full_placement_matches_enumeration():
