@@ -314,11 +314,12 @@ def test_two_sided_poincare_via_rook_obeys_exact_laws_past_brute_force():
 
 
 def test_aztec_pairs_have_the_product_polynomial():
-    # For w = max_coset_rep_A(2n, n), [flip_ud(w), w] is a Boolean lattice
-    # of rank n (aztec_interval_size) shifted up to inv(flip_ud(w)) =
-    # n(n - 1), so its Poincare polynomial is q^(n(n-1)) (1 + q)^n.  Held to
-    # poincare_via_rook for n = 1-10, about 0.35 s on a 2-core VM, 0.25 s of
-    # it at n = 10, and to poincare_brute for n <= 5, under 5 ms.
+    # For w = max_coset_rep_A(2n, n), [flip_ud(w), w] has 2^n elements
+    # (aztec_interval_size) from length inv(flip_ud(w)) = n(n - 1) up to
+    # inv(w) = n^2, ranked as a Boolean lattice of rank n: its Poincare
+    # polynomial is q^(n(n-1)) (1 + q)^n.  Held to poincare_via_rook for
+    # n = 1-10, about 0.3 s on a 2-core VM, 0.23 s of it at n = 10, and to
+    # poincare_brute for n <= 5, about 1 ms.
     for n in range(1, 11):
         w = max_coset_rep_A(2 * n, n).w
         want = LaurentPoly.monomial(n * (n - 1)) * poly({0: 1, 1: 1}) ** n
@@ -357,9 +358,9 @@ def _gasharov_step(word):
 def _smooth_words(rng, count, sizes):
     """count seeded smooth words of lengths drawn from sizes, each grown
     from (1,) by inserting the new largest letter into the word or into its
-    inverse just before a decreasing run of its last letters.  That keeps
-    the word smooth: the new letter can only play the 4 of 3412 or 4231,
-    and both need a rise after it."""
+    inverse just before a decreasing run of its last letters, the longer of
+    two drawn at random.  That keeps the word smooth: the new letter can
+    only play the 4 of 3412 or 4231, and both need a rise after it."""
     words = []
     for _ in range(count):
         word = (1,)
@@ -369,7 +370,7 @@ def _smooth_words(rng, count, sizes):
             run = 1  # the letters after the new one: a decreasing run
             while run < len(word) and word[-run - 1] > word[-run]:
                 run += 1
-            d = len(word) - rng.randint(0, run)
+            d = len(word) - max(rng.randint(0, run), rng.randint(0, run))
             word = word[:d] + (n,) + word[d:]
         words.append(word)
     return words
@@ -378,8 +379,9 @@ def _smooth_words(rng, count, sizes):
 def test_gasharov_factorization_of_smooth_poincare_polynomials():
     # The rule of _gasharov_step is held to poincare_brute on all 485 smooth
     # words of up to 6 letters, then to poincare_via_rook, peeled to a
-    # product of q-integers, on 200 seeded smooth words of 20-64 letters;
-    # about 1.1 s together on a 2-core VM.  A failure prints the word.
+    # product of q-integers, on 200 seeded smooth words of 20-64 letters and
+    # 21-117 inversions; about 0.4 s together on a 2-core VM, 0.11 s of it
+    # in poincare_via_rook.  A failure prints the word.
     smooth = {(): ONE}
     flips = 0
     for n in range(1, 7):
@@ -392,7 +394,7 @@ def test_gasharov_factorization_of_smooth_poincare_polynomials():
             m, rest = step
             assert p == q_int(m) * smooth[rest], f"w = {w.to_text()}"
             flips += not _falls_after_top(w.word)
-    assert len(smooth) == 486 and flips > 0
+    assert len(smooth) == 1 + 485 and flips > 0  # the empty word and the smooth ones
     for word in _smooth_words(random.Random(0), 200, range(20, 65)):
         want, rest = ONE, word
         while rest:

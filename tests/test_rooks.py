@@ -349,9 +349,10 @@ def _pruned_cases():
 
 def _scan_own_rows(b):
     """The full-placement DP down b's own rows, the orientation in which the
-    tests below build their blocks and orphaned columns; the public entry
-    would scan a transpose.  A board with an empty row or column never
-    reaches the DP, so it goes to the public entry."""
+    tests below build their blocks and orphaned columns: the kernel scans
+    the columns of the board it is given, so it is given b's transpose,
+    where the public entry would give it b or b turned.  A board with an
+    empty row or column goes to the public entry."""
     cols = b.transpose().rows
     if not all(b.rows) or not all(cols):
         return full_placement_q_poly(b)
