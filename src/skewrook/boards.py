@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import or_
-from typing import Iterable, Iterator
+from operator import and_, or_
+from typing import Iterable, Iterator, Sequence
 
 from .permutations import Permutation, _Record, _check_nonneg_size
 
@@ -346,6 +346,33 @@ def right_hull(p: Permutation) -> Board:
 def left_hull(p: Permutation) -> Board:
     """Smallest left-aligned skew Ferrers board covering the permutation."""
     return right_hull(p.flip_ud()).flip_ud()
+
+
+# _DOWN[v] and _UP[v]: the columns 1..v, and the columns v, v + 1, ... as a
+# negative int; an OR of _DOWN masks is the _DOWN mask of the largest letter,
+# and an OR of _UP masks the _UP mask of the smallest
+_DOWN = tuple((1 << v) - 1 for v in range(MAX_WIDTH + 1))
+_UP = (0,) + tuple(-1 << v - 1 for v in range(1, MAX_WIDTH + 1))
+
+
+def _pair_rows(w: Sequence[int], u: Sequence[int]) -> tuple[int, ...] | None:
+    """The row masks of right_hull(w) intersected with left_hull(u), for two
+    words of one length, or None when a row is empty; a word of more than
+    MAX_WIDTH letters is refused first.
+
+    Row i spans [max(min w[i:], min u[:i+1]), min(max w[:i+1], max u[i:])]:
+    it is the AND of four running ORs, one accumulate scan each, over the
+    columns up to or from each letter (_DOWN, _UP).  On the inverse words it
+    gives the board's column masks, since the transpose of a hull is the
+    hull of the inverse.
+    """
+    _check_width(len(w))
+    down, up = _DOWN.__getitem__, _UP.__getitem__
+    w_lo = list(accumulate(map(up, reversed(w)), or_))[::-1]
+    u_hi = list(accumulate(map(down, reversed(u)), or_))[::-1]
+    rows = tuple(map(and_, map(and_, accumulate(map(down, w), or_), w_lo),
+                     map(and_, accumulate(map(up, u), or_), u_hi)))
+    return rows if all(rows) else None
 
 
 # -- rook placements ----------------------------------------------------------

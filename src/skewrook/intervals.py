@@ -16,7 +16,7 @@ from collections import Counter
 from math import factorial
 from typing import Iterator
 
-from .boards import left_hull, max_configs, right_hull
+from .boards import _pair_rows, max_configs, right_hull
 from .permutations import Permutation, _Record, bruhat_leq
 from .qalgebra import (
     ZERO,
@@ -31,7 +31,7 @@ from .qalgebra import (
     q_stirling,
     stirling2,
 )
-from .rooks import q_rook_number, rb_polynomial
+from .rooks import _full_placement_scan, _scans_anti_transpose, rb_polynomial
 
 __all__ = [
     "PatternViolationError",
@@ -91,15 +91,37 @@ def poincare_via_rook(u: Permutation, w: Permutation) -> LaurentPoly:
     of the intersection of the right hull of w with the left hull of u.
 
     Requires that w and the upside-down flip of u avoid the four patterns;
-    the raised error names the offending side.  The hulls are built first,
-    so a word wider than a board is refused before either pattern scan.
+    the raised error names the offending side.  The board's row masks are
+    read off the two words' row ends first (boards._pair_rows), so a word
+    wider than a board is refused before either pattern scan.  No Board is
+    built: the block kernel of full_placement_q_poly gets the masks
+    directly, and the orientation it would pick is taken on the words.
+    When _scans_anti_transpose picks the board's 180-degree turn, both
+    words are turned instead, which turns both hulls and so their
+    intersection.  The column masks are the same row ends of the inverse
+    words, since transposing a hull gives the hull of the inverse.  A board
+    with an empty row or column answers ZERO before the kernel.
     """
     if u.size != w.size:
         raise ValueError("u and w must have the same size")
-    board = right_hull(w).intersect(left_hull(u))
+    rows = _pair_rows(w.word, u.word)
     _require_avoiding(w, "w")
     _require_avoiding(u.flip_ud(), "flip_ud(u)")
-    return q_rook_number(board, w.size)
+    if rows is None:
+        return ZERO
+    if _scans_anti_transpose(rows):
+        w, u = w.rotate180(), u.rotate180()
+        rows = _pair_rows(w.word, u.word)
+    cols = _pair_rows(_inverse(w.word), _inverse(u.word))
+    return ZERO if cols is None else _full_placement_scan(rows, cols)
+
+
+def _inverse(word: tuple[int, ...]) -> list[int]:
+    """The word of the inverse permutation: entry v - 1 is the position of v."""
+    inv = [0] * len(word)
+    for i, v in enumerate(word, 1):
+        inv[v - 1] = i
+    return inv
 
 
 # -- minimal coset representatives, symmetric group ----------------------------

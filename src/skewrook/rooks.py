@@ -26,7 +26,12 @@ suite plays them against each other:
   lines from the bottom touch c columns.  A wide board is scanned down its
   columns: ones(3, 64) then takes 64 steps of at most 8 states;
 * the full-placement DP, full_placement_q_poly, for the n-rook number of
-  an n x n board, a scan across the columns, also cached per board.
+  an n x n board, a scan across the columns, also cached per board.  Its
+  kernel, _full_placement_scan, takes the row and column masks from its
+  caller: full_placement_q_poly builds the column masks of a Board
+  (_transpose_masks), and intervals.poincare_via_rook reads both off the
+  row ends of its two words and their inverses, with no Board and no
+  cache.
 
 Every query goes through one of the two DPs, whatever the board's width up
 to boards.MAX_WIDTH; the enumeration oracle serves only the tests and the
@@ -41,7 +46,10 @@ its blocks are the steps of the shorter boundary path of a hull board.  On
 the hull intersections of the bruhat-pairs benchmark workload (seed 0) it
 makes 2,417 transitions, 6,712 when it scanned the board's own rows, the
 column-mask scan it replaced 28,972, a bottom-up scan restricted to a rook
-in every row 2.80M, and the all-k table 49.4M.
+in every row 2.80M, and the all-k table 49.4M.  Its blocks merge inside
+the transition loop, so states that merge into one key transition apart:
+2,417 transitions against 2,344 when each merge column first summed them
+in a second dict.
 
 The signed statistic of the hyperoctahedral group has the same pair: the
 DP rb_polynomial over the top half of an even board, and the oracle
@@ -245,29 +253,33 @@ def full_placement_q_poly(board: Board) -> LaurentPoly:
     """Sum of q^inversions over permutations fitting inside a square board.
 
     _full_placement_scan scans the columns of the board or of its
-    180-degree turn.  A permutation matrix, its inverse and its 180-degree
-    turn have the same inversions, so both scans give q_rook_number(board,
-    n).  A board with an empty row has no full placement and is answered
-    before the scan; the scan answers one with an empty column.
+    180-degree turn, given the row masks and the column masks that
+    _transpose_masks builds from them.  A permutation matrix, its inverse
+    and its 180-degree turn have the same inversions, so both scans give
+    q_rook_number(board, n).  A board with an empty row has no full
+    placement and is answered before the scan; the scan answers one with an
+    empty column.
 
     The scan's blocks of interchangeable rows group the rows by their last
-    one-cell, or on the turn by their first.  The rows of a hull board of
-    poincare_via_rook are intervals, whose first and last one-cells trace
-    its two boundary paths, so the pick scans against the path with fewer
-    steps: the turn when the rows' first one-cells take fewer distinct
-    columns than their last ones (_scans_anti_transpose), the board itself
-    otherwise, ties included.  On the 360 hull boards with a full placement
-    among the bruhat-pairs queries of seeds 0-11, the pick makes 30,304
-    transitions: 75,630 down the board's own rows, 148,294 along every
-    board's columns, 42,134 along every turn's columns, and 29,431 for the
-    best of the four per board.
+    one-cell, or on the turn by their first.  The rows of a hull
+    intersection, the board of poincare_via_rook, are intervals, whose first
+    and last one-cells trace its two boundary paths, so the pick scans
+    against the path with fewer steps: the turn when the rows' first
+    one-cells take fewer distinct columns than their last ones
+    (_scans_anti_transpose), the board itself otherwise, ties included.
+    poincare_via_rook takes the same pick on its words and calls the scan
+    itself.  On the 360 hull boards with a full placement among the
+    bruhat-pairs queries of seeds 0-11, the pick makes 30,304 transitions:
+    75,630 down the board's own rows, 148,294 along every board's columns,
+    42,134 along every turn's columns, and 29,431 for the best of the four
+    per board.
     """
     _check_square(board)
     if not all(board.rows):
         return ZERO
     if _scans_anti_transpose(board.rows):
         board = board.rotate180()
-    return _full_placement_scan(board.rows)
+    return _full_placement_scan(board.rows, _transpose_masks(board.rows, board.width))
 
 
 def _scans_anti_transpose(rows: tuple[int, ...]) -> bool:
@@ -276,65 +288,69 @@ def _scans_anti_transpose(rows: tuple[int, ...]) -> bool:
     return len({mask & -mask for mask in rows}) < len({mask.bit_length() for mask in rows})
 
 
-def _full_placement_scan(rows: tuple[int, ...]) -> LaurentPoly:
-    """The block DP behind full_placement_q_poly.  It takes the row masks
-    of a square board with no empty row, builds the column masks itself
-    (_transpose_masks) and scans the board's columns from the left.  The
-    rook of each column scores the free rows above it, the later columns
-    whose rooks sit higher, so a full placement scores its inversions.
+def _full_placement_scan(rows: tuple[int, ...], cols: tuple[int, ...]) -> LaurentPoly:
+    """The block DP behind full_placement_q_poly and poincare_via_rook.  It
+    takes the row masks of a square board with no empty row and the board's
+    column masks (bit i of entry j set when row i + 1 has a one in column
+    j + 1), and scans the columns from the left.  The rook of each column
+    scores the free rows above it, the later columns whose rooks sit
+    higher, so a full placement scores its inversions.
 
     At column i a block is a maximal run of adjacent rows whose one-cells
     agree on columns i..n-1, so its rows are interchangeable from there on.
     A key is the free-row mask with each block's free rows moved to its
     bottom: it records only the free count of each block.  Blocks only
-    merge as columns are consumed, and the keys are then re-canonicalised
-    on the merged blocks.  A block of the column with m free rows, a free
-    rows above it, makes one transition: it drops its top free row and
-    multiplies by q^a [m]_q.  A row whose last one-cell is in the column
-    must take its rook there: a state with two such free rows is dropped,
-    and one with a single one places its rook there.
+    merge as columns are consumed, and each key is re-canonicalised on the
+    merged blocks as the column's loop reads it; two states that merge into
+    one key then transition apart, and their packed values add up in the
+    next column's dict, since every transition is linear.  A block of the
+    column with m free rows, a free rows above it, makes one transition: it
+    drops its top free row and multiplies by q^a [m]_q.  A row whose last
+    one-cell is in the column must take its rook there: a state with two
+    such free rows is dropped, and one with a single one places its rook
+    there.
 
     Each state's polynomial is one int, packed by q -> 2^(8w), so q^a is a
     shift and [m]_q a product.  The width comes from the at most
     min(popcount, n - i) rows of column i (_digit_width); 0 answers ZERO.
     """
     n = len(rows)
-    cols = _transpose_masks(rows, n)
-    width = _digit_width(min(col.bit_count(), n - i) for i, col in enumerate(cols))
+    width = _digit_width(map(min, map(int.bit_count, cols), range(n, 0, -1)))
     if not width:
         return ZERO
     repunits = [0]  # repunits[m] packs [m]_q
     for _ in range(n):
         repunits.append(repunits[-1] << width | 1)
-    # joins[c]: the rows j that join row j + 1 from column c on, both from 0;
-    # ends[c]: the rows whose last one-cell is in column c, from 1
-    joins: list[list[int]] = [[] for _ in range(n + 1)]
+    # joins[c]: bit j set when row j joins row j + 1 from column c on, both
+    # from 0; ends[c]: the rows whose last one-cell is in column c, from 1
+    joins = [0] * (n + 1)
     ends = [0] * (n + 1)
     for j, row in enumerate(rows):
         ends[row.bit_length()] |= 1 << j
         if j:
-            joins[(rows[j - 1] ^ row).bit_length()].append(j - 1)
+            joins[(rows[j - 1] ^ row).bit_length()] |= 1 << (j - 1)
     cuts = (1 << n) - 1  # bit j: row j + 1 is the last of its block
     states: dict[int, int] = {cuts: 1}
     for i, mask in enumerate(cols):
-        if joins[i]:
-            cuts &= ~sum(1 << j for j in joins[i])
-            merged = {}
-            for j in joins[i]:
-                top = cuts & -(1 << j)
-                top &= -top
-                merged[top] = (top << 1) - (1 << (cuts & ((1 << j) - 1)).bit_length())
-            canon: dict[int, int] = {}
-            for key, packed in states.items():
-                for top, block in merged.items():
-                    c = (key & block).bit_count()
-                    key = key & ~block | (top << 1) - (top << 1 >> c)
-                canon[key] = canon.get(key, 0) + packed
-            states = canon
+        merged = []  # (rows, bit past the last row) of each block merged here
+        join = joins[i]
+        if join:
+            cuts &= ~join
+            while join:
+                # the block of the lowest join left: from the row after the
+                # cut below it to the first cut at or above it; the joins
+                # inside that block are then done
+                low = join & -join
+                past = cuts & -low
+                past = (past & -past) << 1
+                merged.append((past - (1 << (cuts & (low - 1)).bit_length()), past))
+                join &= -past
         must = ends[i + 1]
         single = cuts & ((cuts << 1) | 1)
         nxt: dict[int, int] = {}
         for key, packed in states.items():
+            for block, past in merged:
+                key = key & ~block | past - (past >> (key & block).bit_count())
             free = key & mask
             need = key & must
             if need:

@@ -21,6 +21,7 @@ from skewrook.boards import (
 )
 from skewrook.intervals import (
     CosetRepA,
+    PatternViolationError,
     aztec_interval_size,
     coset_reps_A,
     hull_interval_elements,
@@ -286,6 +287,28 @@ def test_size_gate_precedes_the_pattern_scan(monkeypatch):
     ]:
         with pytest.raises(ValueError, match=TOO_WIDE):
             fn(*args)
+
+
+def test_pair_route_refuses_size_then_width_then_patterns():
+    # poincare_via_rook reads its board's rows off the two words before
+    # either pattern scan, so a wide word that also contains a pattern gets
+    # the width refusal, and words of different sizes the size refusal
+    # whatever else is wrong with them
+    wide_4231 = Permutation((4, 2, 3, 1) + tuple(range(5, MAX_WIDTH + 2)))
+    assert wide_4231.find_forbidden()[0] == Permutation((4, 2, 3, 1))
+    for u, w in [(WIDE, wide_4231), (wide_4231.flip_ud(), WIDE), (wide_4231.flip_ud(), wide_4231)]:
+        with pytest.raises(ValueError) as info:
+            poincare_via_rook(u, w)
+        assert type(info.value) is ValueError and str(info.value) == TOO_WIDE
+    for u, w in [(ID3, WIDE), (WIDE, ID3), (ID3, wide_4231), (Permutation((1, 3, 2, 4)), ID3)]:
+        with pytest.raises(ValueError) as info:
+            poincare_via_rook(u, w)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "u and w must have the same size"
+    # at a width the board takes, the pattern scans answer, w first
+    with pytest.raises(PatternViolationError) as info:
+        poincare_via_rook(Permutation((1, 3, 2, 4)), Permutation((4, 2, 3, 1)))
+    assert info.value.role == "w"
 
 
 def test_tall_boards_have_column_heights():
