@@ -6,7 +6,10 @@ numbers, and poly-Bernoulli numbers.  Everything is exact: coefficients are
 plain Python ints and no floating point is ever involved.
 
 A product with a one-term factor is an exponent shift and a coefficient
-scale, not a double loop.  Values reach LaurentPoly unchecked only when the
+scale, not a double loop.  The shift rule, q^s p, is written once
+(_shift): a product by a monic monomial returns it, and the column-mask
+table of rooks.py calls it on every transition, with no monomial built and
+no product dispatched.  Values reach LaurentPoly unchecked only when the
 library built them: monomials and q-integers once their int checks pass,
 operator results, and the dense digit lists of the packed rook DPs,
 q_factorial and the q-Stirling step.  Everything a caller passes in is
@@ -119,7 +122,7 @@ class LaurentPoly(_CoeffMap):
     values the library built skip those checks (_wrap).  A product with a
     one-term factor c q^s is an exponent shift by s with every coefficient
     scaled by c, which is canonical already since two nonzero ints have a
-    nonzero product.
+    nonzero product; for c = 1 it is the module's one shift rule, _shift.
 
     >>> p = LaurentPoly({0: 1, 1: 2})
     >>> p * p == LaurentPoly({0: 1, 1: 4, 2: 4})
@@ -210,14 +213,13 @@ class LaurentPoly(_CoeffMap):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) == 1:
-            a, b = b, a
+        p, f = (other, self) if len(self._coeffs) == 1 else (self, other)
+        a, b = p._coeffs, f._coeffs
         if len(b) == 1:
             # c q^s times p: shift every exponent by s, scale by c
             ((s, c),) = b.items()
             if c == 1:
-                return _wrap({e + s: v for e, v in a.items()})
+                return _shift(p, s)
             return _wrap({e + s: v * c for e, v in a.items()})
         acc: dict[int, int] = {}
         for e1, c1 in a.items():
@@ -335,6 +337,13 @@ def _wrap(coeffs: dict[int, int]) -> LaurentPoly:
     out = LaurentPoly.__new__(LaurentPoly)
     object.__setattr__(out, "_coeffs", coeffs)
     return out
+
+
+def _shift(p: LaurentPoly, s: int) -> LaurentPoly:
+    """q^s p: every exponent of p moved by the int s, with no product.  The
+    one shift rule, for LaurentPoly.__mul__ by a monic monomial and for the
+    transitions of rooks._q_rook_scan."""
+    return _wrap({e + s: c for e, c in p._coeffs.items()})
 
 
 ZERO = LaurentPoly()

@@ -67,7 +67,9 @@ taken columns and the set of values placed, reads neg off the latter.
 The two full-placement DPs pack the q-weight into one nonnegative int by
 Kronecker substitution q -> 2^(8w) at one width (qalgebra._digit_width),
 so a transition is a shift and an add, with one product more for a block
-of several free rows, and each int is unpacked once at the end.  _q_rook_table holds a LaurentPoly per state.
+of several free rows, and each int is unpacked once at the end.
+_q_rook_table holds a LaurentPoly per state, and each of its transitions
+is an exponent shift (qalgebra._shift) and an add, with no product.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ from .qalgebra import (
     q_stirling,
     _digit_width,
     _from_dense,
+    _shift,
     _unpack,
 )
 
@@ -223,12 +226,15 @@ def _q_rook_scan(rows: tuple[int, ...], width: int) -> tuple[LaurentPoly, ...]:
     row depends only on rooks strictly below it, so it is decided at the
     row's own step: a skipped row scores one per rook-free column; a rook
     placed in column j scores one per rook-free column strictly to its right.
+    Each transition shifts the state's polynomial by its score (_shift) and
+    adds it into the target state's, so the scan takes no LaurentPoly
+    product.
     """
     states: dict[int, LaurentPoly] = {0: ONE}
     for mask in reversed(rows):
         nxt: dict[int, LaurentPoly] = {}
         for occ, poly in states.items():
-            skip = poly * LaurentPoly.monomial(width - occ.bit_count())
+            skip = _shift(poly, width - occ.bit_count())
             old = nxt.get(occ)
             nxt[occ] = skip if old is None else old + skip
             free = mask & ~occ
@@ -237,7 +243,7 @@ def _q_rook_scan(rows: tuple[int, ...], width: int) -> tuple[LaurentPoly, ...]:
                 free ^= bit
                 j = bit.bit_length()
                 key = occ | bit
-                place = poly * LaurentPoly.monomial(width - j - (occ >> j).bit_count())
+                place = _shift(poly, width - j - (occ >> j).bit_count())
                 old = nxt.get(key)
                 nxt[key] = place if old is None else old + place
         states = nxt

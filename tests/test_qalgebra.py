@@ -13,7 +13,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from skewrook.qalgebra import (
@@ -25,6 +25,7 @@ from skewrook.qalgebra import (
     _mul_dense,
     _pack as _byte_pack,
     _q_stirling_step,
+    _shift,
     _stirling2_row,
     _times_q_int,
     _unpack,
@@ -141,6 +142,21 @@ def test_one_term_products_match_the_convolution():
         _assert_canonical(m * LaurentPoly.monomial(t, k), _convolve({s: c}, {t: k}))
     assert 3 * Q == Q * 3 == LaurentPoly({1: 3})
     assert -1 * LaurentPoly({-2: 4, 3: -1}) == LaurentPoly({-2: -4, 3: 1})
+
+
+@given(laurent_polys, st.integers(-9, 9), st.integers(-9, 9), st.sampled_from([1, -1, -7, 3**50]))
+@example(ZERO, -4, 3, 1)
+@example(LaurentPoly({-5: -2, -1: 7, 3: -1}), -3, 5, -1)
+def test_shift_is_the_product_by_a_monic_monomial(p, a, b, c):
+    """_shift(p, s) is q^s p, canonical, on the zero polynomial, negative
+    exponents and negative coefficients, and two shifts compose; a product
+    by c q^s, monic or not, on either side, is still the convolution."""
+    _assert_canonical(_shift(p, a), _convolve(dict(p.items()), {a: 1}))
+    assert _shift(p, a) == p * LaurentPoly.monomial(a) == LaurentPoly.monomial(a) * p
+    assert _shift(_shift(p, a), b) == _shift(p, a + b)
+    m = LaurentPoly.monomial(a, c)
+    for got in (p * m, m * p):
+        _assert_canonical(got, _convolve(dict(p.items()), {a: c}))
 
 
 def test_q_int_is_canonical():

@@ -287,6 +287,26 @@ def test_table_matches_enumeration_up_to_4x4():
     assert 100 < transposed < len(cases) - 100
 
 
+def test_table_transitions_take_no_polynomial_product(monkeypatch):
+    """Every transition of the table's scan is an exponent shift
+    (qalgebra._shift): with LaurentPoly products made to raise, every
+    q-rook number below the top one of seeded boards, on both scan sides,
+    still equals the enumeration's."""
+    rng = random.Random(38)
+    cases = [_random_rect(rng, m, n, 0.6) for m, n in [(4, 5), (5, 4), (5, 5), (3, 6), (6, 3)]]
+    want = {b: [q_rook_number_brute(b, k) for k in range(min(b.dims))] for b in cases}
+    assert {_scans_transpose(b.rows, b.width) for b in cases} == {False, True}
+
+    def raiser(*args):
+        raise AssertionError("the q-rook table took a LaurentPoly product")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", raiser)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", raiser)
+    _q_rook_table.cache_clear()
+    for b in cases:
+        assert [q_rook_number(b, k) for k in range(min(b.dims))] == want[b], b.to_text()
+
+
 def test_boards_of_more_than_64_rows():
     """Seeded 65 x 3 boards: a dense one is scanned down its rows, and a
     sparse one down its columns, through a 3 x 65 transpose that Board
@@ -495,11 +515,22 @@ def test_garsia_remmel_matches_poly():
 
 
 def test_factorizations_on_seeded_ferrers_boards():
-    # sides 8 to 12, past the 3 x 3 boxes above; rows of nonincreasing
-    # length, left-aligned, and for gjw_product their mirror images
-    rng = random.Random(34)
-    for _ in range(20):
-        m, n = rng.randint(8, 12), rng.randint(8, 12)
+    # sides 8 to 12, past the 3 x 3 boxes above
+    _check_factorizations(random.Random(34), 20, 8, 12)
+
+
+def test_factorizations_on_seeded_ferrers_boards_past_side_12():
+    # sides 13 to 15: about 1.3-1.5 s on a 2-core VM, nearly all of it in
+    # the q-rook table's polynomial adds; CI diffs one side-16 board
+    _check_factorizations(random.Random(38), 6, 13, 15)
+
+
+def _check_factorizations(rng, count, lo, hi):
+    """garsia_remmel_product against q_rook_poly, and gjw_product on the
+    mirror image against it at q = 1, at x = 0, 1, 3 on count seeded
+    boards of sides lo..hi with rows of nonincreasing length, left-aligned."""
+    for _ in range(count):
+        m, n = rng.randint(lo, hi), rng.randint(lo, hi)
         lengths = sorted((rng.randint(0, n) for _ in range(m)), reverse=True)
         b = Board(tuple((1 << k) - 1 for k in lengths), n)
         for x in (0, 1, 3):
