@@ -48,6 +48,14 @@ __all__ = [
 
 MAX_WIDTH = 64
 
+# _DOWN[v] and _UP[v]: the columns 1..v, and the columns v, v + 1, ... as a
+# negative int, so _DOWN[hi] & _UP[lo] is columns lo..hi (0 when lo > hi);
+# _UP runs to MAX_WIDTH + 1 for the empty rows of all_skew_ferrers_boards.
+# An OR of _DOWN masks is the _DOWN mask of the largest letter, and an OR of
+# _UP masks the _UP mask of the smallest.
+_DOWN = tuple((1 << v) - 1 for v in range(MAX_WIDTH + 1))
+_UP = (0,) + tuple(-1 << v - 1 for v in range(1, MAX_WIDTH + 2))
+
 
 def _check_width(width) -> None:
     """Refuse a board width that is not an int in 0..MAX_WIDTH."""
@@ -243,7 +251,7 @@ class Board(_Record):
                 continue
             lo = (mask & -mask).bit_length()
             hi = mask.bit_length()
-            if mask != _interval_mask(lo, hi):
+            if mask != _DOWN[hi] & _UP[lo]:
                 return False  # row is not a contiguous interval
             if prev_span is not None:
                 plo, phi = prev_span
@@ -283,13 +291,6 @@ def _revbits(mask: int, width: int) -> int:
     at most width bits: its binary digits read backwards, shifted up to
     width bits."""
     return int(bin(mask)[:1:-1], 2) << (width - mask.bit_length())
-
-
-def _interval_mask(lo: int, hi: int) -> int:
-    """Bitmask of columns lo..hi inclusive (empty when lo > hi)."""
-    if lo > hi:
-        return 0
-    return ((1 << hi) - 1) ^ ((1 << (lo - 1)) - 1)
 
 
 # -- stock boards -------------------------------------------------------------
@@ -340,19 +341,12 @@ def right_hull(p: Permutation) -> Board:
     _check_width(len(w))
     lo = list(accumulate(reversed(w), min))[::-1]
     hi = accumulate(w, max)
-    return Board._trusted(tuple(_interval_mask(a, b) for a, b in zip(lo, hi)), len(w))
+    return Board._trusted(tuple(_DOWN[b] & _UP[a] for a, b in zip(lo, hi)), len(w))
 
 
 def left_hull(p: Permutation) -> Board:
     """Smallest left-aligned skew Ferrers board covering the permutation."""
     return right_hull(p.flip_ud()).flip_ud()
-
-
-# _DOWN[v] and _UP[v]: the columns 1..v, and the columns v, v + 1, ... as a
-# negative int; an OR of _DOWN masks is the _DOWN mask of the largest letter,
-# and an OR of _UP masks the _UP mask of the smallest
-_DOWN = tuple((1 << v) - 1 for v in range(MAX_WIDTH + 1))
-_UP = (0,) + tuple(-1 << v - 1 for v in range(1, MAX_WIDTH + 1))
 
 
 def _pair_rows(w: Sequence[int], u: Sequence[int]) -> tuple[int, ...] | None:
@@ -487,7 +481,7 @@ def all_skew_ferrers_boards(m: int, n: int, align: str = "right") -> tuple[Board
     # cells[lam][mu] is the row of lambda_i = lam and mu_i = mu, as a
     # one-mask tuple
     cells = [
-        [(_interval_mask(n - lam + 1, n - mu),) for mu in range(lam + 1)]
+        [(_DOWN[n - mu] & _UP[n - lam + 1],) for mu in range(lam + 1)]
         for lam in range(n + 1)
     ]
     shapes: set[tuple[int, ...]] = set()

@@ -15,14 +15,16 @@ Avoidance of 4231, 35142, 42513 and 351624 guards every rook-route Poincare
 polynomial.  It is decided without a search, by the criterion of Gasharov
 and Reiner (J. London Math. Soc. 66, 2002): with c(i) = n + 1 - w(i), w
 avoids the four patterns exactly when every box of Fulton's essential set
-of c (Duke Math. J. 65, 1992) carries one of two extreme rank values.  Only
-a word that fails it is searched for a witness, by a depth-first search
-that extends a partial occurrence only while it stays order-isomorphic to
-the pattern's prefix.  The search is one loop over a stack of per-step
-position iterators, not a recursion, so no pattern is too long for it.  It
-is the witness route and the criterion's oracle.  The plain scans the
-searches replace, the C(n, k) position sets and the filter of S_n by full
-rank tables, are kept as oracles in tests/test_permutations.py.
+of c (Duke Math. J. 65, 1992) carries one of two extreme rank values, read
+off one bitmask of the values of c seen so far in a few int operations per
+descent of c.  Only a word that fails it is searched for a witness, by a
+depth-first search that extends a partial occurrence only while it stays
+order-isomorphic to the pattern's prefix.  The search is one loop over a
+stack of per-step position iterators, not a recursion, so no pattern is
+too long for it.  It is the witness route and the criterion's oracle.  The
+plain scans the searches replace (the C(n, k) position sets, the filter of
+S_n by full rank tables) and the criterion's sorted-prefix form are kept as
+oracles in tests/test_permutations.py.
 
 _Record, the base of the package's immutable records, lives here, in the
 lowest module that defines one.
@@ -31,7 +33,7 @@ lowest module that defines one.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import Counter
 from typing import Iterator, Optional
 
@@ -339,22 +341,23 @@ def _avoids_forbidden(word: tuple[int, ...]) -> bool:
     the four patterns exactly when every essential box has r = 0 or
     r = i + j - n.  Row i holds essential boxes only at a descent of c, at
     c(i + 1) <= j < c(i), and there (i, j) is essential exactly when j is
-    not among c(1..i) and j + 1 is.  r is read from the sorted prefix
-    c(1..i) by bisect.  The pattern search of Permutation._find_pattern is
-    this test's oracle.
+    not among c(1..i) and j + 1 is.  With seen the bitmask of c(1..i), those
+    j are the set bits of ((1 << c(i)) - (1 << c(i + 1))) & ~seen &
+    (seen >> 1), read here shifted down by c(i + 1), and r(i, j) counts the
+    set bits of seen up to bit j: a few int operations per descent of c and
+    one more per box.  Permutation._find_pattern is this test's oracle.
     """
-    n = len(word)
-    c = [n + 1 - v for v in word]
-    pos = [0] * (n + 1)  # pos[v] = c^-1(v)
-    for i, v in enumerate(c, 1):
-        pos[v] = i
-    prefix: list[int] = []  # c(1..i), sorted
+    n, seen = len(word), 0
     for i in range(1, n):
-        top, low = c[i - 1], c[i]
-        insort(prefix, top)
-        for j in range(low, top):
-            if pos[j] > i and pos[j + 1] <= i:
-                r = bisect_right(prefix, j)
+        top, low = n + 1 - word[i - 1], n + 1 - word[i]
+        seen |= 1 << top
+        if low < top:
+            window = seen >> low & (2 << top - low) - 1
+            boxes = window >> 1 & ~window
+            while boxes:
+                j = low + (boxes & -boxes).bit_length() - 1
+                boxes &= boxes - 1
+                r = (seen & (2 << j) - 1).bit_count()
                 if r and r != i + j - n:
                     return False
     return True

@@ -472,3 +472,9 @@ def test_all_skew_ferrers_boards_edge_shapes():
     assert all_skew_ferrers_boards(2, 0) == (Board((0, 0), 0),)
     # one row per level of the walk, with no recursion limit
     assert all_skew_ferrers_boards(2000, 0) == (Board((0,) * 2000, 0),)
+    # at the width cap one row is the empty row or any interval of columns,
+    # the empty row starting at column 65
+    intervals = {((1 << hi) - 1) ^ ((1 << lo - 1) - 1) for lo in range(1, 65) for hi in range(lo, 65)}
+    got = all_skew_ferrers_boards(1, MAX_WIDTH)
+    assert len(got) == 2081 and {b.rows[0] for b in got} == intervals | {0}
+    assert all(b.is_skew_ferrers("right") for b in got)

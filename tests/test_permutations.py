@@ -1,6 +1,7 @@
 """Permutation statistics, Bruhat order and pattern containment against
 hand values and definition-level re-computations."""
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -31,6 +32,7 @@ from skewrook.permutations import (
     poincare_brute,
 )
 from skewrook.qalgebra import BiPoly, LaurentPoly
+from test_intervals import _smooth_words
 
 P = Permutation.from_text
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -521,6 +523,63 @@ def test_criterion_on_coset_representatives(n):
     reps = [max_coset_rep_A(n, k).w.word for k in (1, n // 3, n // 2, n - 1)]
     for w, hit in searched_words(reps):
         assert hit is None and _avoids_forbidden(w), w
+
+
+def sorted_prefix_avoids(word):
+    """Oracle for _avoids_forbidden: the same essential-set criterion read
+    through the inverse of c and the sorted prefix c(1..i).  It walks every
+    j in each descent's window, so it is quadratic on long avoiders."""
+    n = len(word)
+    c = [n + 1 - v for v in word]
+    pos = [0] * (n + 1)  # pos[v] = c^-1(v)
+    for i, v in enumerate(c, 1):
+        pos[v] = i
+    prefix = []  # c(1..i), sorted
+    for i in range(1, n):
+        top, low = c[i - 1], c[i]
+        bisect.insort(prefix, top)
+        for j in range(low, top):
+            if pos[j] > i and pos[j + 1] <= i:
+                r = bisect.bisect_right(prefix, j)
+                if r and r != i + j - n:
+                    return False
+    return True
+
+
+def zigzag(n):
+    """The avoider (1, n, 2, n - 1, ...), whose descents of c have the
+    widest windows."""
+    return tuple(v for a in range(1, n // 2 + 1) for v in (a, n + 1 - a)) + ((n + 1) // 2,) * (n % 2)
+
+
+def test_criterion_matches_sorted_prefix_oracle_on_long_words():
+    # Five families of avoiders at 65-2,000 letters (a smooth word grown by
+    # the rule of _smooth_words, the zigzag, the identity, w0 and
+    # max_coset_rep_A(n, n // 2)), each also with the letters at seeded
+    # positions rearranged into a 4231 or a 35142.  About 0.2-0.4 s on a
+    # 2-core VM, nearly all of it in the oracle.
+    rng = random.Random(39)
+    answers = []
+    for n in (65, 2000, *rng.sample(range(66, 2000), 3)):
+        avoiders = [
+            _smooth_words(rng, 1, [n])[0],
+            zigzag(n),
+            tuple(range(1, n + 1)),
+            tuple(range(n, 0, -1)),
+            max_coset_rep_A(n, n // 2).w.word,
+        ]
+        for w in avoiders:
+            pat = rng.choice(FORBIDDEN_PATTERNS[:2]).word
+            slots = sorted(rng.sample(range(n), len(pat)))
+            values = sorted(w[s] for s in slots)
+            planted = list(w)
+            for s, r in zip(slots, pat):
+                planted[s] = values[r - 1]
+            for word, want in ((w, True), (tuple(planted), False)):
+                got = _avoids_forbidden(word)
+                assert got == sorted_prefix_avoids(word) == want, (n, word[:20])
+                answers.append(got)
+    assert answers.count(True) == answers.count(False) == 25
 
 
 def test_find_forbidden_witness_matches_search():
